@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-props test-chaos test-algos test-spmd test-telemetry test-streaming test-service bench bench-agg bench-frontend bench-wall bench-spgemm bench-streaming bench-service bench-gate bench-full figures report examples clean
+.PHONY: install test test-fast test-props test-chaos test-algos test-telemetry test-streaming test-service bench bench-agg bench-frontend bench-spgemm bench-streaming bench-service bench-gate bench-full figures report examples clean
 
 # coverage flags only when pytest-cov is importable (it is optional; the
 # floor pins the fault/retry machinery in src/repro/runtime/)
@@ -16,10 +16,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 test-fast:           ## pre-commit default: unit + quick property tier, no chaos/slow
-	## run twice — serial, then through the SPMD pool — so every fast test
-	## doubles as a pool-mode determinism check (see docs/spmd.md)
-	REPRO_SPMD=0 REPRO_TEST_PROFILE=quick $(PYTHON) -m pytest tests/ -m "not chaos and not slow"
-	REPRO_SPMD=2 REPRO_TEST_PROFILE=quick $(PYTHON) -m pytest tests/ -m "not chaos and not slow"
+	REPRO_TEST_PROFILE=quick $(PYTHON) -m pytest tests/ -m "not chaos and not slow"
 
 test-props:          ## full property suite (slow tier included, 100 examples)
 	REPRO_RUN_SLOW=1 REPRO_TEST_PROFILE=standard $(PYTHON) -m pytest tests/test_properties.py tests/ops/test_dispatch.py
@@ -31,10 +28,6 @@ test-chaos:          ## chaos suite + runtime tests (REPRO_TEST_PROFILE=quick|st
 test-algos:          ## algorithm suites on both backends + frontend unit tests + layering lint
 	REPRO_TEST_PROFILE=$${REPRO_TEST_PROFILE:-standard} \
 	    $(PYTHON) -m pytest tests/algorithms/ tests/exec/ tests/test_layering.py
-
-test-spmd:           ## SPMD determinism tier: pool sizes 0/1/4 bit-identical + chaos toggles
-	REPRO_TEST_PROFILE=$${REPRO_TEST_PROFILE:-quick} \
-	    $(PYTHON) -m pytest tests/runtime/test_spmd_determinism.py tests/chaos/test_spmd_chaos.py
 
 test-telemetry:      ## observability suites: registry, timeline, profiling hooks, gate
 	REPRO_TEST_PROFILE=$${REPRO_TEST_PROFILE:-quick} \
@@ -56,9 +49,6 @@ bench-agg:           ## aggregation-exchange ablation; writes results/BENCH_agg.
 
 bench-frontend:      ## frontend-vs-direct-kernel overhead; writes results/BENCH_frontend.json
 	$(PYTHON) -m pytest benchmarks/test_abl_frontend.py
-
-bench-wall:          ## fast-path wall-clock before/after; writes results/BENCH_wall.json
-	$(PYTHON) -m pytest benchmarks/test_abl_wall.py
 
 bench-spgemm:        ## distributed SpGEMM schedule ablation; writes results/BENCH_spgemm.json
 	$(PYTHON) -m pytest benchmarks/test_abl_spgemm.py
@@ -88,5 +78,5 @@ examples:
 	    echo "== $$f =="; $(PYTHON) $$f || exit 1; done
 
 clean:
-	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/results
+	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/results/*.txt benchmarks/results/*.svg
 	find . -name __pycache__ -type d -exec rm -rf {} +

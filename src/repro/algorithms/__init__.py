@@ -17,7 +17,7 @@ from .cc import (
     connected_components_incremental,
     num_components,
 )
-from .coloring import greedy_coloring, is_valid_coloring
+from .coloring import SelfLoopError, greedy_coloring, is_valid_coloring
 from .delta_stepping import delta_stepping
 from .kcore import kcore_decomposition, kcore_subgraph
 from .ktruss import edge_support, ktruss
@@ -41,6 +41,7 @@ __all__ = [
     "connected_components",
     "connected_components_dist",
     "connected_components_incremental",
+    "SelfLoopError",
     "greedy_coloring",
     "is_valid_coloring",
     "delta_stepping",

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..algebra.functional import MAX, OFFDIAG, TRIL
 from ..algebra.semiring import MIN_FIRST, PLUS_PAIR
-from ..algorithms import bfs_levels, count_triangles, pagerank_dist
+from ..algorithms import bfs_levels, count_triangles
 from ..distributed import DistSparseMatrix, DistSparseVector
 from ..exec import DistBackend, ShmBackend
 from ..generators import erdos_renyi, random_sparse_vector, rmat
@@ -47,10 +47,6 @@ __all__ = [
     "run_agg",
     "FRONTEND_WORKLOADS",
     "run_frontend",
-    "WALL_WORKLOADS",
-    "WALL_SPMD_POOL",
-    "WALL_SPMD_SPEEDUP_FLOOR",
-    "run_wall",
     "SPGEMM_NODE_SWEEP",
     "SPGEMM_AUTO_BOUND",
     "spgemm_graphs",
@@ -323,142 +319,6 @@ def run_frontend() -> dict:
         },
         "overhead_bound": OVERHEAD_BOUND,
         "results": frontend_sweep(),
-    }
-
-
-# ---------------------------------------------------------------------------
-# fast-path wall-clock ablation (BENCH_wall.json)
-# ---------------------------------------------------------------------------
-
-PR_N, PR_DEG = 10_000, 8
-PR_TOL, PR_MAX_ITER = 1e-8, 100
-WALL_REPS = 5
-
-WALL_WORKLOADS = ("bfs", "triangle", "pagerank")
-
-#: the headline criterion: the fast path must keep BFS (the SpMSpV-bound,
-#: most iteration-heavy workload) at least this much faster than the
-#: retained pure-reference path.  The checked-in baseline records ~5x.
-WALL_BFS_SPEEDUP_FLOOR = 4.0
-
-#: worker count for the SPMD wall columns (matches the determinism tier's
-#: largest pool) ...
-WALL_SPMD_POOL = 4
-
-#: ... and the floor the pool must clear over the serial fast path on
-#: BFS/PageRank — only meaningful with real parallel hardware, so the
-#: benchmark asserts it only when ``os.cpu_count()`` can host the pool.
-WALL_SPMD_SPEEDUP_FLOOR = 1.5
-
-
-def wall_graphs() -> dict[str, CSRMatrix]:
-    """The wall ablation's graphs: the frontend pair plus PageRank's."""
-    graphs = frontend_graphs()
-    graphs["pagerank"] = erdos_renyi(PR_N, PR_DEG, seed=5)
-    return graphs
-
-
-def wall_run(workload: str, a: CSRMatrix, m: Machine):
-    """One distributed run of a wall workload on a fresh machine."""
-    if workload == "pagerank":
-        return pagerank_dist(a, m, tol=PR_TOL, max_iter=PR_MAX_ITER)
-    return frontend_run(workload, a, m)
-
-
-def _wall_row(workload: str, a: CSRMatrix, reps: int = WALL_REPS) -> dict:
-    """Before/after/SPMD wall measurement of one workload, noise-hardened.
-
-    Wall time on a shared host drifts by tens of percent between
-    *processes*, but the modes drift together, so all three are
-    interleaved in one process: a warmup run each (first-touch caches,
-    lazy imports, pool worker spawn), then ``reps`` alternating timed
-    runs, keeping the **minimum** per mode — min-of-k is the standard
-    low-noise estimator for a deterministic computation (noise only ever
-    adds).
-
-    The three modes: the retained pure-reference path (``before``), the
-    serial fast path (``after``), and the fast path shipping per-locale
-    blocks to a :data:`WALL_SPMD_POOL`-worker process pool (``spmd``).
-    The row also records the invariant both switches promise: identical
-    results and a bit-identical simulated-seconds total in every mode.
-    """
-    from ..runtime import fastpath, spmd
-
-    modes = ((False, 0), (True, 0), (True, WALL_SPMD_POOL))
-    for fast, pool in modes:
-        with fastpath.force(fast), spmd.force(pool):
-            wall_run(workload, a, frontend_machine("dist"))
-    best = {mode: float("inf") for mode in modes}
-    sim: dict[tuple, float] = {}
-    res: dict[tuple, object] = {}
-    for _ in range(reps):
-        for mode in modes:
-            fast, pool = mode
-            m = frontend_machine("dist")
-            with fastpath.force(fast), spmd.force(pool):
-                got, wall = _timed(lambda: wall_run(workload, a, m))
-            best[mode] = min(best[mode], wall)
-            sim[mode] = m.ledger.total
-            res[mode] = got
-    ref, fastm, spmdm = modes
-    return {
-        "simulated_s": sim[fastm],
-        "simulated_equal": bool(sim[ref] == sim[fastm]),
-        "results_equal": bool(np.array_equal(res[ref], res[fastm])),
-        "wall_before_s": best[ref],
-        "wall_after_s": best[fastm],
-        "speedup": best[ref] / best[fastm] if best[fastm] else float("inf"),
-        "spmd_simulated_equal": bool(sim[fastm] == sim[spmdm]),
-        "spmd_results_equal": bool(np.array_equal(res[fastm], res[spmdm])),
-        "wall_spmd_s": best[spmdm],
-        "spmd_speedup": best[fastm] / best[spmdm] if best[spmdm] else float("inf"),
-    }
-
-
-def wall_sweep(graphs=None, reps: int = WALL_REPS) -> dict[str, dict]:
-    """Fast-path before/after/SPMD rows per ``"workload/dist"`` key."""
-    from ..runtime import spmd
-
-    graphs = wall_graphs() if graphs is None else graphs
-    try:
-        return {f"{w}/dist": _wall_row(w, graphs[w], reps) for w in WALL_WORKLOADS}
-    finally:
-        # don't leak pool workers into whatever the process runs next
-        spmd.shutdown()
-
-
-def run_wall() -> dict:
-    """The fast-path wall ablation as a schema-valid BENCH payload.
-
-    ``simulated_s`` leaves are deterministic and gated at the tight
-    tolerance like every other bench; the ``wall_*_s`` leaves are
-    host-dependent but measured carefully enough (interleaved min-of-k)
-    that the payload opts into the gate's loose wall tolerance via
-    ``gate_wall`` — a fast path that silently stops being fast fails.
-    """
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "bench": "wall",
-        "description": "simulator fast path (vectorized kernels + plan cache "
-        "+ buffer pool) wall-clock before/after, plus the SPMD process pool "
-        "over the fast path",
-        "gate_wall": True,
-        "configs": {
-            "bfs": {"n": BFS_N, "deg": BFS_DEG},
-            "triangle": {"n": TRI_N, "deg": TRI_DEG},
-            "pagerank": {
-                "n": PR_N,
-                "deg": PR_DEG,
-                "tol": PR_TOL,
-                "max_iter": PR_MAX_ITER,
-            },
-            "dist_locales": DIST_P,
-            "reps": WALL_REPS,
-            "spmd_pool": WALL_SPMD_POOL,
-        },
-        "bfs_speedup_floor": WALL_BFS_SPEEDUP_FLOOR,
-        "spmd_speedup_floor": WALL_SPMD_SPEEDUP_FLOOR,
-        "results": wall_sweep(),
     }
 
 
@@ -934,7 +794,6 @@ def run_service() -> dict:
 RERUNNERS = {
     "agg": run_agg,
     "frontend": run_frontend,
-    "wall": run_wall,
     "spgemm": run_spgemm,
     "streaming": run_streaming,
     "service": run_service,

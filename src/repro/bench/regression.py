@@ -10,11 +10,9 @@ by code — not noise.  This module is the enforcement:
 2. re-run the matching ablation harness from
    :data:`repro.bench.ablations.RERUNNERS`;
 3. diff every gateable metric (:func:`repro.bench.schema.simulated_metrics`
-   — simulated-seconds leaves, gated at ``tolerance``, default 10%; plus,
-   for baselines stamped ``"gate_wall": true``,
-   :func:`repro.bench.schema.wall_metrics` — wall-clock leaves, gated at
-   the loose ``wall_tolerance``, default 1.5×, because wall time is
-   host-dependent even when measured interleaved/min-of-k);
+   — simulated-seconds leaves, gated at ``tolerance``, default 10%).
+   Wall-clock leaves are host-dependent and never gated here; the
+   end-to-end wall-clock benchmark is ``perfbench/``;
 4. fail if any metric regressed beyond its tolerance, vanished, or the
    workload configs no longer match the baseline's.
 
@@ -22,9 +20,11 @@ Improvements never fail the gate — they are reported so the baseline can
 be refreshed (re-run ``make bench`` and commit the new JSON).
 
 ``--check`` runs the *structural* half only: every baseline must load,
-validate, expose gateable metrics, and have a registered re-runner — a
-sub-second smoke test (wired into the test suite) that catches schema
-drift and unwired benches without paying for a full re-measurement.
+validate, expose gateable metrics, and have a registered re-runner, and
+every registered re-runner must have a baseline — a sub-second smoke
+test (wired into the test suite) that catches schema drift, unwired
+benches and missing baselines without paying for a full
+re-measurement.
 
 Wired into ``make bench-gate`` and ``python -m repro gate``.
 """
@@ -40,12 +40,10 @@ from .schema import (
     bench_name_from_path,
     load_bench,
     simulated_metrics,
-    wall_metrics,
 )
 
 __all__ = [
     "DEFAULT_TOLERANCE",
-    "WALL_TOLERANCE",
     "MetricCheck",
     "GateResult",
     "default_results_dir",
@@ -58,11 +56,6 @@ __all__ = [
 
 #: default allowed relative regression before a metric fails the gate.
 DEFAULT_TOLERANCE = 0.10
-
-#: allowed relative regression for wall-clock metrics (1.5×): loose enough
-#: for host drift, tight enough that a fast path silently falling back to
-#: its reference implementation (typically 4-5× slower) still fails.
-WALL_TOLERANCE = 0.50
 
 #: regressions below this absolute simulated-seconds delta are ignored
 #: (guards the ratio test against meaningless jitter on ~0-valued metrics).
@@ -165,13 +158,11 @@ def compare_payloads(
     current: dict,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    wall_tolerance: float = WALL_TOLERANCE,
 ) -> GateResult:
     """Diff two schema-valid payloads' gateable metrics.
 
-    Simulated-seconds leaves are always gated at ``tolerance``.  When the
-    baseline is stamped ``"gate_wall": true``, wall-clock leaves are gated
-    too, at the loose ``wall_tolerance``.
+    Simulated-seconds leaves are gated at ``tolerance``; wall-clock leaves
+    are informational only.
 
     Structural drift — changed workload configs, a metric present in the
     baseline but missing from the re-run — is a ``problem`` (gate fails):
@@ -199,20 +190,6 @@ def compare_payloads(
         result.checks.append(
             MetricCheck(metric, base_value, cur_metrics[metric], tolerance)
         )
-    if baseline.get("gate_wall"):
-        base_wall = wall_metrics(baseline)
-        cur_wall = wall_metrics(current)
-        if not base_wall:
-            result.problems.append(
-                "baseline requests wall gating but has no wall-clock metrics"
-            )
-        for metric, base_value in sorted(base_wall.items()):
-            if metric not in cur_wall:
-                result.problems.append(f"wall metric {metric} missing from re-run")
-                continue
-            result.checks.append(
-                MetricCheck(metric, base_value, cur_wall[metric], wall_tolerance)
-            )
     return result
 
 
@@ -224,12 +201,15 @@ def check_baselines(
     """Structural smoke check of the gate's wiring — no re-running.
 
     Every discovered (or selected) baseline must load, validate against
-    the envelope schema, expose at least one gateable simulated metric
-    (plus wall metrics when it requests wall gating), and have a
-    re-runner registered in :data:`repro.bench.ablations.RERUNNERS`.
-    Sub-second; run from the test suite as ``python -m repro gate
-    --check`` so an unwired or schema-drifted baseline fails CI without
-    paying for a full re-measurement.
+    the envelope schema, expose at least one gateable simulated metric,
+    and have a re-runner registered in
+    :data:`repro.bench.ablations.RERUNNERS`.  The check runs both ways:
+    when no benches are selected, every registered re-runner must also
+    have a baseline — a bench the gate should guard but cannot is a
+    failure, not a silent skip.  Sub-second; run from the test suite as
+    ``python -m repro gate --check`` so an unwired, missing or
+    schema-drifted baseline fails CI without paying for a full
+    re-measurement.
     """
     from .ablations import RERUNNERS
 
@@ -242,6 +222,14 @@ def check_baselines(
             return [r]
         found = {name: found[name] for name in benches}
     results = []
+    if benches is None:
+        for name in sorted(set(RERUNNERS) - set(found)):
+            r = GateResult(bench=name)
+            r.problems.append(
+                f"re-runner registered in RERUNNERS but no baseline "
+                f"BENCH_{name}.json"
+            )
+            results.append(r)
     for name, path in sorted(found.items()):
         r = GateResult(bench=name)
         try:
@@ -252,8 +240,6 @@ def check_baselines(
             continue
         if not simulated_metrics(payload):
             r.problems.append("no gateable simulated-time metrics")
-        if payload.get("gate_wall") and not wall_metrics(payload):
-            r.problems.append("requests wall gating but has no wall-clock metrics")
         if name not in RERUNNERS:
             r.problems.append("no re-runner registered in RERUNNERS")
         results.append(r)
@@ -265,7 +251,6 @@ def run_gate(
     *,
     benches: list[str] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    wall_tolerance: float = WALL_TOLERANCE,
 ) -> list[GateResult]:
     """Gate every (or the selected) discovered baseline; returns per-bench
     results.  Baselines with no registered re-runner are skipped with a
@@ -287,15 +272,7 @@ def run_gate(
         if rerun is None:
             continue  # no harness extracted for this baseline yet
         baseline = load_bench(path)
-        results.append(
-            compare_payloads(
-                name,
-                baseline,
-                rerun(),
-                tolerance=tolerance,
-                wall_tolerance=wall_tolerance,
-            )
-        )
+        results.append(compare_payloads(name, baseline, rerun(), tolerance=tolerance))
     return results
 
 
@@ -325,15 +302,6 @@ def main(argv: list[str] | None = None) -> int:
         help=f"allowed relative regression (default {DEFAULT_TOLERANCE})",
     )
     parser.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=WALL_TOLERANCE,
-        help=(
-            "allowed relative regression for wall-clock metrics of benches "
-            f"stamped gate_wall (default {WALL_TOLERANCE}, i.e. 1.5x)"
-        ),
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="structural smoke check only (schema + wiring), no re-running",
@@ -344,10 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         label = "bench-check"
     else:
         results = run_gate(
-            args.results_dir,
-            benches=args.benches,
-            tolerance=args.tolerance,
-            wall_tolerance=args.wall_tolerance,
+            args.results_dir, benches=args.benches, tolerance=args.tolerance
         )
         label = "bench-gate"
     if not results:

@@ -22,11 +22,8 @@ those leaves to ``path → value`` rows, which is the primary currency of
 the regression gate (:mod:`repro.bench.regression`).
 
 Wall-clock leaves (numeric, key starts with ``wall`` and ends in ``_s``)
-depend on the host and are recorded for humans by default.  A bench that
-measures wall time *carefully* (interleaved modes, warmup, min-of-k — see
-``repro.bench.ablations.run_wall``) can opt into gating them by stamping
-``"gate_wall": true`` in its payload; the gate then compares the
-:func:`wall_metrics` rows at a loose (1.5×) tolerance.
+depend on the host and are recorded for humans only; the end-to-end
+wall-clock benchmark lives in ``perfbench/``.
 
 Version history:
 
@@ -49,7 +46,6 @@ __all__ = [
     "load_bench",
     "dump_bench",
     "simulated_metrics",
-    "wall_metrics",
 ]
 
 #: current BENCH envelope version.
@@ -139,10 +135,6 @@ def _simulated(key: str, value) -> bool:
     return _seconds_leaf(key, value) and not key.startswith("wall")
 
 
-def _wall(key: str, value) -> bool:
-    return _seconds_leaf(key, value) and key.startswith("wall")
-
-
 def _walk(node, prefix: str, out: dict[str, float], match) -> None:
     if isinstance(node, dict):
         for key, value in node.items():
@@ -165,16 +157,4 @@ def simulated_metrics(payload: dict) -> dict[str, float]:
     """
     out: dict[str, float] = {}
     _walk(payload.get("results", {}), "", out, _simulated)
-    return out
-
-
-def wall_metrics(payload: dict) -> dict[str, float]:
-    """Flatten the wall-clock leaves of ``results``.
-
-    Returns every numeric leaf whose key starts with ``wall`` and ends in
-    ``_s``.  Host-dependent; gated only for payloads stamped
-    ``"gate_wall": true`` and then at the loose wall tolerance.
-    """
-    out: dict[str, float] = {}
-    _walk(payload.get("results", {}), "", out, _wall)
     return out

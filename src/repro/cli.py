@@ -119,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     gate.add_argument("--results-dir", default=None)
     gate.add_argument("--bench", action="append", dest="benches")
     gate.add_argument("--tolerance", type=float, default=None)
-    gate.add_argument("--wall-tolerance", type=float, default=None)
     gate.add_argument(
         "--check",
         action="store_true",
@@ -370,11 +369,7 @@ def main(argv=None) -> int:
     if args.command == "telemetry":
         return cmd_telemetry(args)
     if args.command == "gate":
-        from .bench.regression import (
-            DEFAULT_TOLERANCE,
-            WALL_TOLERANCE,
-            main as gate_main,
-        )
+        from .bench.regression import DEFAULT_TOLERANCE, main as gate_main
 
         gate_argv = []
         if args.results_dir:
@@ -384,12 +379,6 @@ def main(argv=None) -> int:
         gate_argv += [
             "--tolerance",
             str(args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE),
-            "--wall-tolerance",
-            str(
-                args.wall_tolerance
-                if args.wall_tolerance is not None
-                else WALL_TOLERANCE
-            ),
         ]
         if args.check:
             gate_argv += ["--check"]

@@ -356,9 +356,8 @@ class DistMatrix:
         the fused per-stage mask prune (bit-identical, dearer).
 
         ``dispatcher`` reuses a caller-held :class:`~repro.ops.dispatch.
-        Dispatcher` so its plan cache persists across calls (the exec
-        frontend passes its own); pricing replay never changes values or
-        charged time (see :class:`~repro.ops.dispatch.PlanCache`).
+        Dispatcher` so its decision log spans calls (the exec frontend
+        passes its own).
         """
         from .ops.dispatch import Dispatcher
 

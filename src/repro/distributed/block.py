@@ -13,14 +13,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ..runtime import fastpath
 from ..runtime.locale import LocaleGrid
 from ..runtime.tasks import chunk_sizes
 
 __all__ = ["Partition1D", "Block1D", "GridBlock1D", "Block2D"]
 
 
-# Interned partition instances (fast path only).  Partitions are frozen
+# Interned partition instances.  Partitions are frozen
 # value objects constructed on every kernel call (`GridBlock1D.for_grid`,
 # the `dist`/`layout` properties), so interning them makes the per-instance
 # bounds cache effective across calls — one cumsum per (n, parts) per
@@ -117,38 +116,23 @@ class Block1D(Partition1D):
     @classmethod
     def of(cls, n: int, num_parts: int) -> "Block1D":
         """Interned constructor: the same (n, parts) yields the same
-        instance on the fast path, so its cached bounds survive across
-        kernel calls.  Reference mode constructs fresh."""
-        if fastpath.enabled():
-            return _interned_block1d(int(n), int(num_parts))
-        return cls(n, num_parts)
-
-    def _compute_bounds(self) -> np.ndarray:
-        out = np.zeros(self.num_parts + 1, dtype=np.int64)
-        np.cumsum(chunk_sizes(self.n, self.num_parts), out=out[1:])
-        return out
+        instance, so its cached bounds survive across kernel calls."""
+        return _interned_block1d(int(n), int(num_parts))
 
     @cached_property
-    def _bounds_cached(self) -> np.ndarray:
-        # cached_property writes through the instance __dict__, which
-        # frozen dataclasses still have; read-only because it is shared
-        out = self._compute_bounds()
-        out.flags.writeable = False
-        return out
-
-    @property
     def bounds(self) -> np.ndarray:
         """Partition boundaries: part ``k`` owns ``[bounds[k], bounds[k+1])``.
 
-        On the fast path this is computed once per (interned) instance and
-        returned read-only — recomputing the cumsum per superstep was a
-        measurable slice of the interpreter overhead ROADMAP item 4
-        attacks.  With :mod:`repro.runtime.fastpath` disabled every access
-        recomputes, matching the original implementation.
+        Computed once per (interned) instance and returned read-only —
+        recomputing the cumsum per superstep was a measurable slice of the
+        distributed kernels' interpreter overhead.
         """
-        if not fastpath.enabled():
-            return self._compute_bounds()
-        return self._bounds_cached
+        # cached_property writes through the instance __dict__, which
+        # frozen dataclasses still have; read-only because it is shared
+        out = np.zeros(self.num_parts + 1, dtype=np.int64)
+        np.cumsum(chunk_sizes(self.n, self.num_parts), out=out[1:])
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -178,16 +162,21 @@ class GridBlock1D(Partition1D):
     @classmethod
     def of(cls, n: int, rows: int, cols: int) -> "GridBlock1D":
         """Interned constructor (see :meth:`Block1D.of`)."""
-        if fastpath.enabled():
-            return _interned_gridblock1d(int(n), int(rows), int(cols))
-        return cls(n, rows, cols)
+        return _interned_gridblock1d(int(n), int(rows), int(cols))
 
     @classmethod
     def for_grid(cls, n: int, grid: LocaleGrid) -> "GridBlock1D":
         """Build the partition matching a locale grid."""
         return cls.of(n, grid.rows, grid.cols)
 
-    def _compute_bounds(self) -> np.ndarray:
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """Partition boundaries: part ``k`` owns ``[bounds[k], bounds[k+1])``.
+
+        Cached per (interned) instance, read-only, like
+        :attr:`Block1D.bounds`: the nested row/column cuts made this the
+        single most recomputed array in the distributed kernels.
+        """
         row_bounds = Block1D.of(self.n, self.grid_rows).bounds
         pieces = [
             Block1D.of(
@@ -196,25 +185,9 @@ class GridBlock1D(Partition1D):
             + row_bounds[i]
             for i in range(self.grid_rows)
         ]
-        return np.concatenate([[0], np.concatenate(pieces)]).astype(np.int64)
-
-    @cached_property
-    def _bounds_cached(self) -> np.ndarray:
-        out = self._compute_bounds()
+        out = np.concatenate([[0], np.concatenate(pieces)]).astype(np.int64)
         out.flags.writeable = False
         return out
-
-    @property
-    def bounds(self) -> np.ndarray:
-        """Partition boundaries: part ``k`` owns ``[bounds[k], bounds[k+1])``.
-
-        Cached per (interned) instance on the fast path, read-only, like
-        :attr:`Block1D.bounds`: the nested row/column cuts made this the
-        single most recomputed array in the distributed kernels.
-        """
-        if not fastpath.enabled():
-            return self._compute_bounds()
-        return self._bounds_cached
 
     def row_block(self, i: int) -> tuple[int, int]:
         """Global extent of grid-row ``i``'s combined blocks."""
@@ -238,11 +211,7 @@ class Block2D:
     @classmethod
     def of(cls, nrows: int, ncols: int, rows: int, cols: int) -> "Block2D":
         """Interned constructor (see :meth:`Block1D.of`)."""
-        if fastpath.enabled():
-            return _interned_block2d(
-                int(nrows), int(ncols), int(rows), int(cols)
-            )
-        return cls(nrows, ncols, rows, cols)
+        return _interned_block2d(int(nrows), int(ncols), int(rows), int(cols))
 
     @classmethod
     def for_grid(cls, nrows: int, ncols: int, grid: LocaleGrid) -> "Block2D":
@@ -251,12 +220,12 @@ class Block2D:
 
     @property
     def row_blocks(self) -> Block1D:
-        """The row-dimension 1-D partition (interned on the fast path)."""
+        """The row-dimension 1-D partition (interned)."""
         return Block1D.of(self.nrows, self.grid_rows)
 
     @property
     def col_blocks(self) -> Block1D:
-        """The column-dimension 1-D partition (interned on the fast path)."""
+        """The column-dimension 1-D partition (interned)."""
         return Block1D.of(self.ncols, self.grid_cols)
 
     def extent(self, i: int, j: int) -> tuple[int, int, int, int]:

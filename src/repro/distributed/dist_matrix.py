@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..runtime import fastpath
 from ..runtime.locale import LocaleGrid
 from ..sparse.csr import CSRMatrix
 from ..sparse.dcsr import DCSRMatrix
@@ -35,81 +34,53 @@ def _partition_to_cells(
 ) -> list[CSRMatrix]:
     """Cut a global CSR into pr*pc local CSR blocks (vectorised).
 
-    Each nonzero's owning cell is computed from the row/col block owners;
-    one stable sort groups nonzeros by cell, and per-cell CSRs are built
-    from the sorted slices with rebased indices.
+    Each nonzero's owning column block is computed per row block; one
+    stable sort per row block groups its nonzeros by cell, and per-cell
+    CSRs are built from the sorted slices with rebased indices.
     """
     pr, pc = layout.grid_rows, layout.grid_cols
     rbounds = layout.row_blocks.bounds
     cbounds = layout.col_blocks.bounds
-    if fastpath.enabled():
-        # Row blocks are CONTIGUOUS row ranges of an already row-sorted
-        # CSR, so the global sort-by-cell reduces to: slice each row
-        # block's nonzeros straight out of the CSR arrays, stable-sort
-        # only within the slice by column owner (preserving the (row,
-        # col) order inside each cell exactly like the global stable
-        # sort), and build each cell's CSR directly — the triples are
-        # sorted and duplicate-free by construction, so the reference
-        # path's coalesce round-trip is pure overhead.
-        blocks2: list[CSRMatrix] = []
-        for i in range(pr):
-            rlo, rhi = int(rbounds[i]), int(rbounds[i + 1])
-            s, e = int(a.rowptr[rlo]), int(a.rowptr[rhi])
-            nr = rhi - rlo
-            cols_i = a.colidx[s:e]
-            vals_i = a.values[s:e]
-            lens_i = np.diff(a.rowptr[rlo : rhi + 1])
-            rows_i = np.repeat(np.arange(nr, dtype=np.int64), lens_i)
-            owner_i = (
-                np.searchsorted(cbounds, cols_i, side="right") - 1
-                if cols_i.size
-                else cols_i
-            )
-            order = stable_argsort_bounded(owner_i, pc)
-            rows_s = rows_i[order]
-            cols_s = cols_i[order]
-            vals_s = vals_i[order]
-            cuts = np.searchsorted(owner_i[order], np.arange(pc + 1))
-            for j in range(pc):
-                clo, chi = int(cbounds[j]), int(cbounds[j + 1])
-                lo, hi = int(cuts[j]), int(cuts[j + 1])
-                rowptr = np.zeros(nr + 1, dtype=np.int64)
-                np.cumsum(
-                    np.bincount(rows_s[lo:hi], minlength=nr), out=rowptr[1:]
-                )
-                blocks2.append(
-                    CSRMatrix(
-                        nr,
-                        chi - clo,
-                        rowptr,
-                        cols_s[lo:hi] - clo,
-                        vals_s[lo:hi].copy(),
-                    )
-                )
-        return blocks2
-    rows = a.row_indices()
-    cols = a.colidx
-    vals = a.values
-    row_owner = layout.row_blocks.owners(rows) if rows.size else rows
-    col_owner = layout.col_blocks.owners(cols) if cols.size else cols
-    cell = row_owner * pc + col_owner
-    order = np.argsort(cell, kind="stable")
-    rows, cols, vals, cell = rows[order], cols[order], vals[order], cell[order]
-    cuts = np.searchsorted(cell, np.arange(pr * pc + 1))
+    # Row blocks are CONTIGUOUS row ranges of an already row-sorted
+    # CSR, so the global sort-by-cell reduces to: slice each row
+    # block's nonzeros straight out of the CSR arrays, stable-sort
+    # only within the slice by column owner (preserving the (row,
+    # col) order inside each cell exactly like a global stable sort),
+    # and build each cell's CSR directly — the triples are sorted and
+    # duplicate-free by construction, so no coalesce round-trip.
     blocks: list[CSRMatrix] = []
     for i in range(pr):
-        rlo, rhi = rbounds[i], rbounds[i + 1]
+        rlo, rhi = int(rbounds[i]), int(rbounds[i + 1])
+        s, e = int(a.rowptr[rlo]), int(a.rowptr[rhi])
+        nr = rhi - rlo
+        cols_i = a.colidx[s:e]
+        vals_i = a.values[s:e]
+        lens_i = np.diff(a.rowptr[rlo : rhi + 1])
+        rows_i = np.repeat(np.arange(nr, dtype=np.int64), lens_i)
+        owner_i = (
+            np.searchsorted(cbounds, cols_i, side="right") - 1
+            if cols_i.size
+            else cols_i
+        )
+        order = stable_argsort_bounded(owner_i, pc)
+        rows_s = rows_i[order]
+        cols_s = cols_i[order]
+        vals_s = vals_i[order]
+        cuts = np.searchsorted(owner_i[order], np.arange(pc + 1))
         for j in range(pc):
-            clo, chi = cbounds[j], cbounds[j + 1]
-            k = i * pc + j
-            s, e = cuts[k], cuts[k + 1]
+            clo, chi = int(cbounds[j]), int(cbounds[j + 1])
+            lo, hi = int(cuts[j]), int(cuts[j + 1])
+            rowptr = np.zeros(nr + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(rows_s[lo:hi], minlength=nr), out=rowptr[1:]
+            )
             blocks.append(
-                CSRMatrix.from_triples(
-                    int(rhi - rlo),
-                    int(chi - clo),
-                    rows[s:e] - rlo,
-                    cols[s:e] - clo,
-                    vals[s:e],
+                CSRMatrix(
+                    nr,
+                    chi - clo,
+                    rowptr,
+                    cols_s[lo:hi] - clo,
+                    vals_s[lo:hi].copy(),
                 )
             )
     return blocks

@@ -37,12 +37,10 @@ Candidates per operation:
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..runtime import fastpath
 from ..runtime.epoch import epoch_of
 
 from ..algebra.functional import BinaryOp
@@ -76,8 +74,6 @@ from .spmv import vxm_pull, vxm_pull_cost
 __all__ = [
     "Dispatcher",
     "Decision",
-    "PlanCache",
-    "nnz_bucket",
     "PUSH_MERGE",
     "PUSH_RADIX",
     "PUSH_SORTBASED",
@@ -112,132 +108,6 @@ class Decision:
     def direction(self) -> str:
         """``"pull"`` or ``"push"`` (dist/ewise decisions count as push)."""
         return PULL if self.chosen == PULL else "push"
-
-
-def nnz_bucket(n: int) -> int:
-    """Log2 bucket of a nonzero count: the plan-cache granularity.
-
-    Two inputs land in the same bucket exactly when their nnz has the same
-    bit length, so a cached plan is only ever reused for inputs within 2×
-    of the one it was priced for — coarse enough that an iterative
-    algorithm's steady state hits, fine enough that the argmin candidate
-    does not flip (the regression gate on ``BENCH_frontend``/``BENCH_agg``
-    pins that empirically, the plan-cache property suite structurally).
-    """
-    return int(n).bit_length()
-
-
-class PlanCache:
-    """Memoised dispatch pricing, keyed by (op, shape, nnz-bucket, grid,
-    descriptor).
-
-    :class:`Dispatcher` re-prices every candidate kernel on every call —
-    per BFS level, per PageRank iteration — even though the inputs barely
-    change between iterations.  The cache stores each priced ``estimates``
-    dict under a structural key plus *identity anchors* (the actual
-    operand matrices, compared with ``is``), so:
-
-    * a hit returns the **identical** plan object — no re-pricing, no new
-      allocation (the property suite pins ``lookup(k) is lookup(k)``);
-    * any nnz-bucket crossing, grid change, or descriptor
-      (:class:`~repro.runtime.aggregation.AggregationConfig`) change is a
-      different key — stale plans are unreachable, not patched;
-    * a different matrix object that happens to reuse a key (e.g. after
-      garbage collection) misses via the anchor check instead of replaying
-      the wrong plan;
-    * **in-place mutation** — identity anchors cannot see it, so every
-      matrix-keyed plan also carries the operands' mutation epochs
-      (:func:`~repro.runtime.epoch.epoch_of`) in its structural key.  The
-      streaming engine bumps the epoch on every applied delta batch,
-      making all plans priced against the pre-update data unreachable
-      (the regression suite in ``tests/ops/test_plan_cache.py`` pins
-      this).
-
-    Simulated time is unaffected by construction: the decision span charged
-    by ``Dispatcher._decide`` depends only on the candidate count and the
-    chosen name, and the chosen argmin is re-derived from the (replayed)
-    estimates on every call.  Entries are evicted FIFO past
-    ``max_entries``.  With :mod:`repro.runtime.fastpath` disabled the cache
-    is bypassed entirely.
-
-    Every hit/miss/eviction also increments the labelled
-    ``dispatch.plan_cache`` counter in the telemetry registry (visible in
-    ``repro telemetry``) — observability only, outside the determinism
-    contract like the buffer pool's ``pool_stats()``.
-    """
-
-    def __init__(self, max_entries: int = 512) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._entries: OrderedDict[tuple, tuple[tuple, dict[str, float]]] = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @staticmethod
-    def _count(outcome: str, key: tuple) -> None:
-        op = str(key[0]) if key else "?"
-        _metrics.counter("dispatch.plan_cache").inc(1, outcome=outcome, op=op)
-
-    def lookup(self, key: tuple, anchors: tuple = ()) -> dict[str, float] | None:
-        """Return the cached plan for ``key`` (or ``None``).
-
-        ``anchors`` are the operand objects the plan was priced from; an
-        entry whose anchors are not the *same objects* is treated as a miss
-        and dropped.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            self._count("miss", key)
-            return None
-        stored_anchors, estimates = entry
-        if len(stored_anchors) != len(anchors) or any(
-            s is not a for s, a in zip(stored_anchors, anchors)
-        ):
-            del self._entries[key]
-            self.misses += 1
-            self._count("miss", key)
-            return None
-        self.hits += 1
-        self._count("hit", key)
-        return estimates
-
-    def store(
-        self, key: tuple, estimates: dict[str, float], anchors: tuple = ()
-    ) -> dict[str, float]:
-        """Insert a freshly priced plan; returns it unchanged."""
-        while len(self._entries) >= self.max_entries:
-            evicted_key, _ = self._entries.popitem(last=False)
-            self.evictions += 1
-            self._count("eviction", evicted_key)
-        self._entries[key] = (anchors, estimates)
-        return estimates
-
-    def invalidate(self) -> None:
-        """Drop every cached plan (counters survive for inspection)."""
-        self._entries.clear()
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters and current size."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"PlanCache(entries={len(self)}, hits={self.hits}, "
-            f"misses={self.misses}, evictions={self.evictions})"
-        )
 
 
 def _expected_out_nnz(ncols: int, flops: float, allowed: int | None = None) -> int:
@@ -296,18 +166,6 @@ class Dispatcher:
         self.assume_transpose_amortized = assume_transpose_amortized
         self.decisions: list[Decision] = []
         self._transposes: dict[int, tuple[CSRMatrix, CSRMatrix, int]] = {}
-        #: memoised candidate pricing (see :class:`PlanCache`); bypassed
-        #: when the fast path is disabled
-        self.plan_cache = PlanCache()
-
-    def _priced(self, key: tuple, anchors: tuple, pricer) -> dict[str, float]:
-        """The plan-cache seam: replay ``key``'s estimates or price fresh."""
-        if not fastpath.enabled():
-            return pricer()
-        est = self.plan_cache.lookup(key, anchors)
-        if est is not None:
-            return est
-        return self.plan_cache.store(key, pricer(), anchors)
 
     # -- transpose cache ----------------------------------------------------
 
@@ -486,30 +344,7 @@ class Dispatcher:
         push_pool = PUSH_KERNELS if mask is None else (PUSH_MERGE, PUSH_RADIX)
         if mode == PUSH_SORTBASED and mask is not None:
             raise ValueError("push[sortbased] does not support masks")
-        # plan-cache key: matrix identity (anchored) + mutation epoch +
-        # shape, the frontier's and mask's nnz buckets, and the
-        # transpose-availability state the pull estimate depends on
-        mask_key = (
-            None
-            if mask is None
-            else (nnz_bucket(int(np.count_nonzero(mask))), bool(complement))
-        )
-        key = (
-            "vxm",
-            a.nrows,
-            a.ncols,
-            nnz_bucket(a.nnz),
-            epoch_of(a),
-            nnz_bucket(x.nnz),
-            mask_key,
-            self._has_transpose(a),
-            self.assume_transpose_amortized,
-        )
-        estimates = self._priced(
-            key,
-            (a,),
-            lambda: self.estimate_vxm(a, x, mask=mask, complement=complement),
-        )
+        estimates = self.estimate_vxm(a, x, mask=mask, complement=complement)
         forced = mode != "auto"
         if mode in VXM_KERNELS:
             chosen = mode
@@ -669,23 +504,7 @@ class Dispatcher:
         if desc is not None:
             complement = complement or bool(getattr(desc, "complement", False))
             replace = bool(getattr(desc, "replace", False))
-        # plan-cache key: matrix identity + grid shape + per-block frontier
-        # nnz buckets (the gather estimate is per-locale) + the aggregation
-        # descriptor (hashable frozen dataclass — a tuning change is a new key)
-        key = (
-            "vxm_dist",
-            a.nrows,
-            a.ncols,
-            nnz_bucket(a.nnz),
-            epoch_of(a),
-            a.grid.rows,
-            a.grid.cols,
-            tuple(nnz_bucket(blk.nnz) for blk in x.blocks),
-            agg,
-        )
-        est = self._priced(
-            key, (a,), lambda: self.estimate_vxm_dist(a, x, agg=agg)
-        )
+        est = self.estimate_vxm_dist(a, x, agg=agg)
         forced = "auto" not in (gather_mode, scatter_mode, sort)
         if gather_mode == "auto":
             gather_mode = min(
@@ -973,30 +792,7 @@ class Dispatcher:
         if not square and variant in ("2d", "3d"):
             raise ValueError("sparse SUMMA requires a square locale grid")
         fused = mask is not None and mask_mode == "fused"
-        mask_key = (
-            None if mask is None else (nnz_bucket(mask.nnz), epoch_of(mask), fused)
-        )
-        key = (
-            "mxm_dist",
-            a.nrows,
-            a.ncols,
-            b.nrows,
-            b.ncols,
-            nnz_bucket(a.nnz),
-            nnz_bucket(b.nnz),
-            epoch_of(a),
-            epoch_of(b),
-            a.grid.rows,
-            a.grid.cols,
-            mask_key,
-            agg,
-        )
-        anchors = (a, b) if mask is None else (a, b, mask)
-        est = self._priced(
-            key,
-            anchors,
-            lambda: self.estimate_mxm_dist(a, b, mask=mask, fused=fused, agg=agg),
-        )
+        est = self.estimate_mxm_dist(a, b, mask=mask, fused=fused, agg=agg)
         forced = comm_mode != "auto" or variant != "auto"
         if not square or variant == "gathered":
             chosen = "gathered"
@@ -1075,14 +871,10 @@ class Dispatcher:
         index collection (the paper's §III-C alternatives) by estimated
         cost.  ``kept`` is estimated as the full input pattern — the upper
         bound, which prices the collection phase conservatively for both."""
-        est = self._priced(
-            ("ewisemult", nnz_bucket(x.nnz)),
-            (),
-            lambda: {
-                m: ewisemult_sd_cost(self.machine, x.nnz, x.nnz, method=m).total
-                for m in ("atomic", "prefix")
-            },
-        )
+        est = {
+            m: ewisemult_sd_cost(self.machine, x.nnz, x.nnz, method=m).total
+            for m in ("atomic", "prefix")
+        }
         forced = method != "auto"
         if method == "auto":
             method = min(est, key=est.__getitem__)
@@ -1101,14 +893,10 @@ class Dispatcher:
         is made once from the heaviest block (the makespan locale), since
         every locale runs the same collection method."""
         worst = max((blk.nnz for blk in x.blocks), default=0)
-        est = self._priced(
-            ("ewisemult_dist", nnz_bucket(worst)),
-            (),
-            lambda: {
-                m: ewisemult_sd_cost(self.machine, worst, worst, method=m).total
-                for m in ("atomic", "prefix")
-            },
-        )
+        est = {
+            m: ewisemult_sd_cost(self.machine, worst, worst, method=m).total
+            for m in ("atomic", "prefix")
+        }
         forced = method != "auto"
         if method == "auto":
             method = min(est, key=est.__getitem__)

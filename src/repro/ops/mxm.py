@@ -7,9 +7,9 @@ GraphBLAS-compliant library").  Two classic algorithms:
 * :func:`mxm` — **ESC** (expand, sort, compress): materialise every
   partial product ``A[i,k] ⊗ B[k,j]`` as a triple, then coalesce with the
   additive monoid.  Fully vectorised; memory O(flops).
-* :func:`mxm_gustavson` — row-wise Gustavson with a reusable SPA: memory
-  O(ncols), the cache-friendly choice when flops ≫ output nnz.  This is the
-  direct matrix analogue of the paper's SpMSpV kernel and shares its SPA.
+* :func:`mxm_gustavson` — row-wise Gustavson SPA semantics: each output
+  row folds its products in the order a per-row sparse accumulator sees
+  them.  This is the direct matrix analogue of the paper's SpMSpV kernel.
 
 Both accept an optional structural mask (the paper's §V "novel concepts in
 GraphBLAS, such as masks"): only output positions present in the mask are
@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..runtime import fastpath
 from ..sparse.csr import CSRMatrix
 from ..sparse.dcsr import DCSRMatrix
-from ..sparse.spa import SPA
 from .mask import mask_matrix
 from ..algebra.semiring import PLUS_TIMES, Semiring
 
-__all__ = ["mxm", "mxm_gustavson", "mxm_gustavson_reference", "flops"]
+__all__ = ["mxm", "mxm_gustavson", "flops"]
 
 #: Either local storage format; the SpGEMM kernels are polymorphic over
 #: the shared (row, row_indices, extract_rows) surface and always produce
@@ -91,23 +89,18 @@ def mxm_gustavson(
 ) -> CSRMatrix:
     """Row-wise Gustavson SpGEMM: per-row SPA merge semantics.
 
-    Fast path (default): all rows' SPA merges batched into one vectorized
-    pass — expand every product, stable ``lexsort`` by ``(row, col)``,
-    ``reduceat`` per output entry with the additive monoid, cast to the SPA
-    accumulator dtype.  Per output coordinate the products arrive in
-    exactly the order the per-row SPA sees them, so the result is
-    bit-identical to :func:`mxm_gustavson_reference` (the retained per-row
-    loop) — ``tests/ops/test_kernel_oracles.py`` pins it.
+    All rows' SPA merges are batched into one vectorized pass — expand
+    every product, stable ``lexsort`` by ``(row, col)``, ``reduceat`` per
+    output entry with the additive monoid, cast to the SPA accumulator
+    dtype.  Per output coordinate the products arrive in exactly the order
+    a per-row SPA sees them, so the result is bit-identical to the per-row
+    loop — ``tests/ops/test_kernel_oracles.py`` pins it against that loop.
     """
-    if not fastpath.enabled():
-        return mxm_gustavson_reference(
-            a, b, semiring=semiring, mask=mask, complement=complement
-        )
     if a.ncols != b.nrows:
         raise ValueError(f"inner dimensions disagree: {a.ncols} vs {b.nrows}")
-    # the reference accumulates into an O(ncols) SPA of this dtype; products
-    # are reduced in their own dtype first and cast at the store, so the
-    # batched pass reduces then casts in the same order
+    # a per-row SPA accumulates in this dtype; products are reduced in
+    # their own dtype first and cast at the store, so the batched pass
+    # reduces then casts in the same order
     acc_dtype = np.result_type(a.values, b.values)
     expanded = b.extract_rows(a.colidx)  # one B-row per A-nonzero
     reps = np.diff(expanded.rowptr)
@@ -136,53 +129,8 @@ def mxm_gustavson(
     rowptr = np.zeros(a.nrows + 1, dtype=np.int64)
     np.cumsum(np.bincount(kept_rows, minlength=a.nrows), out=rowptr[1:])
     if a.nrows == 0:
-        vals = np.empty(0)  # the reference's empty-concatenate default dtype
+        vals = np.empty(0)  # an empty row-concatenation's default dtype
     c = CSRMatrix(a.nrows, b.ncols, rowptr, kept_cols, vals)
-    if mask is not None:
-        c = mask_matrix(c, mask, complement=complement)
-    return c
-
-
-def mxm_gustavson_reference(
-    a: LocalMatrix,
-    b: LocalMatrix,
-    *,
-    semiring: Semiring = PLUS_TIMES,
-    mask: CSRMatrix | None = None,
-    complement: bool = False,
-) -> CSRMatrix:
-    """The per-row Gustavson loop with a reused SPA — the pure reference.
-
-    For each output row ``i``: scatter the scaled B-rows selected by
-    ``A[i, :]`` into the SPA, gather sorted, reset.  O(ncols) extra memory
-    regardless of flops.  Kept as the oracle for :func:`mxm_gustavson`'s
-    batched fast path.
-    """
-    if a.ncols != b.nrows:
-        raise ValueError(f"inner dimensions disagree: {a.ncols} vs {b.nrows}")
-    spa = SPA(b.ncols, dtype=np.result_type(a.values, b.values))
-    rowptr = np.zeros(a.nrows + 1, dtype=np.int64)
-    out_cols: list[np.ndarray] = []
-    out_vals: list[np.ndarray] = []
-    for i in range(a.nrows):
-        acols, avals = a.row(i)
-        if acols.size:
-            sub = b.extract_rows(acols)
-            reps = np.diff(sub.rowptr)
-            scaled = np.asarray(semiring.mult(np.repeat(avals, reps), sub.values))
-            spa.scatter(sub.colidx, scaled, monoid=semiring.add)
-        row_vec = spa.gather(sort=True)
-        out_cols.append(row_vec.indices)
-        out_vals.append(row_vec.values)
-        rowptr[i + 1] = rowptr[i] + row_vec.nnz
-        spa.reset()
-    c = CSRMatrix(
-        a.nrows,
-        b.ncols,
-        rowptr,
-        np.concatenate(out_cols) if out_cols else np.empty(0, np.int64),
-        np.concatenate(out_vals) if out_vals else np.empty(0),
-    )
     if mask is not None:
         c = mask_matrix(c, mask, complement=complement)
     return c

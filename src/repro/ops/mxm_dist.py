@@ -58,7 +58,6 @@ from ..runtime.aggregation import (
     num_flushes,
     overlap_exposed,
 )
-from ..runtime import spmd
 from ..runtime.clock import Breakdown
 from ..runtime.comm import bulk_ft
 from ..runtime.faults import RETRY_STEP
@@ -80,14 +79,6 @@ def replication_factors(q: int) -> list[int]:
     re-group exactly as ``c`` layers of ``(q/k)×(q/k)`` coarse cells.
     """
     return [k * k for k in range(2, q + 1) if q % k == 0]
-
-
-def _mxm_stage_task(a_blk, b_blk, semiring, mask_blk=None, complement=False):
-    """One locale's stage-local ESC multiply — the pure compute shipped to
-    SPMD workers; the semiring accumulate into ``acc`` stays on the master
-    (it is a sequential fold over stages).  With a mask block the stage
-    product is pruned before it returns (the fused-mask form)."""
-    return mxm(a_blk, b_blk, semiring=semiring, mask=mask_blk, complement=complement)
 
 
 def _validate(a, b, mask, comm_mode, mask_mode, variant, layers):
@@ -180,33 +171,18 @@ def mxm_dist(
 
 
 def _stage_products(a, b, s, grid, semiring, mask, complement, fused):
-    """Every locale's stage-``s`` local product (SPMD-aware, fused-mask
-    optional) — the shared value plane of the 2-D and 3-D schedules."""
-    mask_blks = (
-        [mask.blocks[loc.id] for loc in grid] if (fused and mask is not None)
-        else [None] * grid.size
-    )
-    if spmd.enabled():
-        return spmd.map_blocks(
-            _mxm_stage_task,
-            [
-                (
-                    spmd.handle(a.block(loc.row, s)),
-                    spmd.handle(b.block(s, loc.col)),
-                    semiring,
-                    None if mask_blks[loc.id] is None else spmd.handle(mask_blks[loc.id]),
-                    complement,
-                )
-                for loc in grid
-            ],
-        )
+    """Every locale's stage-``s`` local ESC product — the shared value plane
+    of the 2-D and 3-D schedules.  With ``fused`` masking each product is
+    pruned against the locale's mask block before it returns; the semiring
+    accumulate over stages stays with the caller."""
+    use_mask = fused and mask is not None
     return [
-        _mxm_stage_task(
+        mxm(
             a.block(loc.row, s),
             b.block(s, loc.col),
-            semiring,
-            mask_blks[loc.id],
-            complement,
+            semiring=semiring,
+            mask=mask.blocks[loc.id] if use_mask else None,
+            complement=complement,
         )
         for loc in grid
     ]
@@ -257,10 +233,8 @@ def _mxm_dist_2d(
         stage_cast: list[Breakdown] = []
         stage_mult: list[Breakdown] = []
         next_compute = [0.0] * grid.size
-        # opt-in SPMD pool: the stage's local multiplies are independent
-        # pure functions of (A(i,s), B(s,j)[, M(i,j)]) — shipped before the
-        # locale loop; blocks travel as handles (once per worker for the
-        # whole SUMMA, since A/B blocks recur across stages).
+        # the stage's local multiplies are independent pure functions of
+        # (A(i,s), B(s,j)[, M(i,j)]), computed before the locale loop
         products = _stage_products(a, b, s, grid, semiring, mask, complement, fused)
         for loc in grid:
             i, j = loc.row, loc.col

@@ -28,14 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..distributed.block import GridBlock1D
-from ..runtime import fastpath, spmd
 from ..distributed.dist_matrix import DistSparseMatrix, DistSparseMatrix1D
 from ..distributed.dist_vector import DistSparseVector
 from ..runtime.aggregation import (
     AGG_DEFAULT,
     AggregationConfig,
     ceil_div,
-    default_pool,
     exchange,
     flush_startup,
     gather_agg_ft,
@@ -58,8 +56,7 @@ from ..runtime.faults import RETRY_STEP
 from ..runtime.locale import Machine
 from ..runtime.tasks import coforall_spawn, local_time_ft, makespan, parallel_time, sort_time
 from ..sparse.csr import CSRMatrix, _ranges as _csr_ranges
-from ..sparse.sort import merge_sort, radix_sort, stable_argsort_bounded
-from ..sparse.spa import SPA
+from ..sparse.sort import stable_argsort_bounded
 from ..sparse.vector import SparseVector
 from ..algebra.semiring import PLUS_TIMES, Semiring
 
@@ -164,9 +161,7 @@ def spmspv_shm(
         raise ValueError(
             f"dimension mismatch: x has capacity {x.capacity}, A has {a.nrows} rows"
         )
-    y, row_nnzs = _local_spmspv(
-        a, x, semiring, sort, mask=mask, complement=complement
-    )
+    y, row_nnzs = _local_spmspv(a, x, semiring, mask=mask, complement=complement)
     b = spmspv_shm_cost(
         machine, row_nnzs=row_nnzs, out_nnz=y.nnz, ncols=a.ncols, sort=sort
     )
@@ -177,31 +172,25 @@ def _local_spmspv(
     a: CSRMatrix,
     x: SparseVector,
     semiring: Semiring,
-    sort: str,
     *,
     mask: np.ndarray | None = None,
     complement: bool = False,
 ) -> tuple[SparseVector, np.ndarray]:
     """Compute-only local SpMSpV; returns (result, selected row lengths).
 
-    ``mask`` filters products by output index *before* SPA insertion.
+    ``mask`` filters products by output index *before* SPA insertion.  The
+    output is sorted whichever sort the caller charges for: the ``sort``
+    choice only shapes the *simulated* cost (:func:`spmspv_shm_cost`).
     """
-    if fastpath.enabled():
-        # raw row gather: same arrays extract_rows would produce, without
-        # materialising the intermediate CSRMatrix (its rowptr is only
-        # ever diffed back into the per-row lengths we already have)
-        starts = a.rowptr[x.indices]
-        row_nnzs = a.rowptr[x.indices + 1] - starts
-        gather = _csr_ranges(starts, row_nnzs)
-        cols = a.colidx[gather]
-        xvals = np.repeat(x.values, row_nnzs)
-        products = np.asarray(semiring.mult(xvals, a.values[gather]))
-    else:
-        sub = a.extract_rows(x.indices)
-        row_nnzs = np.diff(sub.rowptr)
-        xvals = np.repeat(x.values, row_nnzs)
-        products = np.asarray(semiring.mult(xvals, sub.values))
-        cols = sub.colidx
+    # raw row gather: same arrays extract_rows would produce, without
+    # materialising the intermediate CSRMatrix (its rowptr is only ever
+    # diffed back into the per-row lengths we already have)
+    starts = a.rowptr[x.indices]
+    row_nnzs = a.rowptr[x.indices + 1] - starts
+    gather = _csr_ranges(starts, row_nnzs)
+    cols = a.colidx[gather]
+    xvals = np.repeat(x.values, row_nnzs)
+    products = np.asarray(semiring.mult(xvals, a.values[gather]))
     if mask is not None:
         allowed = np.asarray(mask, dtype=bool)
         if allowed.size != a.ncols:
@@ -211,103 +200,41 @@ def _local_spmspv(
         keep = ~allowed[cols] if complement else allowed[cols]
         cols = cols[keep]
         products = products[keep]
-    if fastpath.enabled():
-        # Sort-reduce fast path, bit-identical to the SPA reference below:
-        # a stable argsort of `cols` applies the same permutation as the
-        # SPA's stable argsort of the unique-inverse (the inverse is the
-        # rank of the column, so the two key sequences have identical
-        # relative order), the segment heads are the ascending unique
-        # columns (== the SPA's sorted nzinds), and each segment is folded
-        # left-to-right by the same monoid.reduceat in the same dtype, then
-        # cast at store exactly as the dense SPA array would.  The `sort`
-        # parameter only shapes the *simulated* cost (spmspv_shm_cost); the
-        # result is the sorted output either way.
-        if products.size == 0:
-            return (
-                SparseVector(
-                    a.ncols,
-                    np.empty(0, np.int64),
-                    np.empty(0, dtype=products.dtype),
-                ),
-                row_nnzs,
-            )
-        order = stable_argsort_bounded(cols, a.ncols)
-        sc = cols[order]
-        is_first = np.empty(sc.size, dtype=bool)
-        is_first[0] = True
-        is_first[1:] = sc[1:] != sc[:-1]
-        if is_first.all():
-            # no duplicate columns: mirror the SPA's no-fold shortcut,
-            # which stores the raw products without a reduceat round-trip
-            vals = products[order]
-        else:
-            starts = np.flatnonzero(is_first)
-            # boundary starts are strictly increasing and in range by
-            # construction — the dense reduceat applies
-            vals = semiring.add.reduceat_dense(products[order], starts).astype(
-                products.dtype, copy=False
-            )
-            sc = sc[starts]
-        return SparseVector(a.ncols, sc, vals), row_nnzs
-    spa = SPA(a.ncols, dtype=products.dtype)
-    spa.scatter(cols, products, monoid=semiring.add)
-    nzinds = spa.nzinds
-    sorted_inds = radix_sort(nzinds) if sort == "radix" else merge_sort(nzinds)
-    return SparseVector(a.ncols, sorted_inds, spa.values[sorted_inds]), row_nnzs
-
-
-def _spmspv_block_task(a_blk, lx, semiring, sort, mask_slice, complement):
-    """The per-locale pure compute shipped to SPMD workers — exactly the
-    local multiply the serial loop runs, so pooled and serial execution
-    are bit-identical by construction."""
-    return _local_spmspv(
-        a_blk, lx, semiring, sort, mask=mask_slice, complement=complement
-    )
-
-
-def _spmd_local_multiplies(a, x, grid, layout, semiring, sort, mask, complement):
-    """Ship every locale's Step-2 multiply to the worker pool up front.
-
-    Matrix blocks and the per-processor-row ``lx`` slices go out as
-    :func:`repro.runtime.spmd.handle` tokens (payload once per worker,
-    token afterwards — a BFS iteration re-ships only its frontier slices).
-    Returns per-locale ``(ly, row_nnzs)`` in grid order; the serial loop
-    then consumes them in its unchanged order, keeping every simulated
-    cost, fault, and ledger decision on the master.
-    """
-    xb_bounds = x.dist.bounds
-    lx_rows: dict[int, SparseVector] = {}
-    tasks = []
-    for loc in grid:
-        i, j = loc.row, loc.col
-        rlo, rhi, clo, chi = layout.extent(i, j)
-        lx = lx_rows.get(i)
-        if lx is None:
-            idx_parts, val_parts = [], []
-            for t in grid.row_team(i):
-                blk = x.blocks[t.id]
-                idx_parts.append(blk.indices + (xb_bounds[t.id] - rlo))
-                val_parts.append(blk.values)
-            lx = SparseVector(
-                rhi - rlo,
-                np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64),
-                np.concatenate(val_parts) if val_parts else np.empty(0),
-            )
-            lx_rows[i] = lx
-        mask_slice = (
-            np.asarray(mask, dtype=bool)[clo:chi] if mask is not None else None
+    # Sort-reduce, bit-identical to merging through a SPA and sorting its
+    # nonzero indices: a stable argsort of `cols` applies the same
+    # permutation as the SPA's stable argsort of the unique-inverse (the
+    # inverse is the rank of the column, so the two key sequences have
+    # identical relative order), the segment heads are the ascending unique
+    # columns (== the SPA's sorted nzinds), and each segment is folded
+    # left-to-right by the same monoid.reduceat in the same dtype, then cast
+    # at store exactly as the dense SPA array would.
+    if products.size == 0:
+        return (
+            SparseVector(
+                a.ncols,
+                np.empty(0, np.int64),
+                np.empty(0, dtype=products.dtype),
+            ),
+            row_nnzs,
         )
-        tasks.append(
-            (
-                spmd.handle(a.block(i, j)),
-                spmd.handle(lx),
-                semiring,
-                sort,
-                mask_slice,
-                complement,
-            )
+    order = stable_argsort_bounded(cols, a.ncols)
+    sc = cols[order]
+    is_first = np.empty(sc.size, dtype=bool)
+    is_first[0] = True
+    is_first[1:] = sc[1:] != sc[:-1]
+    if is_first.all():
+        # no duplicate columns: mirror the SPA's no-fold shortcut, which
+        # stores the raw products without a reduceat round-trip
+        vals = products[order]
+    else:
+        starts = np.flatnonzero(is_first)
+        # boundary starts are strictly increasing and in range by
+        # construction — the dense reduceat applies
+        vals = semiring.add.reduceat_dense(products[order], starts).astype(
+            products.dtype, copy=False
         )
-    return spmd.map_blocks(_spmspv_block_task, tasks), lx_rows
+        sc = sc[starts]
+    return SparseVector(a.ncols, sc, vals), row_nnzs
 
 
 def spmspv_dist(
@@ -384,40 +311,23 @@ def spmspv_dist(
     out_dist = GridBlock1D.for_grid(a.ncols, grid)
     owner_indices: list[list[np.ndarray]] = [[] for _ in range(grid.size)]
     owner_values: list[list[np.ndarray]] = [[] for _ in range(grid.size)]
-    # fault-free fast path: instead of appending per-(locale, owner) slices
-    # and merging each owner with its own sort, keep every locale's full
-    # sorted batch and merge the whole superstep with ONE global stable
-    # sort after the loop (see the merge step below for the identity
-    # argument).  Fault runs keep the per-owner loop — deliver_puts must
-    # see each (src, dst) stream individually.
-    global_merge = fastpath.enabled() and faults is None
+    # fault-free runs: instead of appending per-(locale, owner) slices and
+    # merging each owner with its own sort, keep every locale's full sorted
+    # batch and merge the whole superstep with ONE global stable sort after
+    # the loop (see the merge step below for the identity argument).  Fault
+    # runs keep the per-owner loop — deliver_puts must see each (src, dst)
+    # stream individually.
+    global_merge = faults is None
     sent_idx: list[np.ndarray] = []
     sent_vals: list[np.ndarray] = []
     # per-(source, destination) scatter traffic, filled during the loop and
     # costed afterwards when the aggregated exchange needs the whole matrix.
-    # New pool epoch at op entry: last superstep's scratch (this matrix, the
-    # exchange's cost vectors) is recycled, so a steady-state BFS/PageRank
-    # iteration allocates nothing here.
-    default_pool.reset()
-    scatter_counts = default_pool.take((grid.size, grid.size), np.int64)
-
-    # opt-in SPMD pool: every Step-2 multiply is a pure function of its
-    # block operands, so all of them ship to the workers up front (in grid
-    # order) and the loop below consumes them by locale id — results are
-    # positionally identical to serial execution, while every simulated
-    # cost, fault draw, and ledger charge stays on the master in the
-    # unchanged loop order.
-    spmd_ly = None
-    if spmd.enabled():
-        spmd_ly, lx_by_row = _spmd_local_multiplies(
-            a, x, grid, layout, semiring, sort, mask, complement
-        )
-    else:
-        # the gathered slice lx is a pure function of the processor ROW
-        # (every locale of row i assembles the same parts shifted by the
-        # same rlo), so on the fast path it is built once per row and
-        # shared read-only — identical arrays, pc× fewer concatenations
-        lx_by_row = {}
+    scatter_counts = np.zeros((grid.size, grid.size), np.int64)
+    # the gathered slice lx is a pure function of the processor ROW (every
+    # locale of row i assembles the same parts shifted by the same rlo), so
+    # it is built once per row and shared read-only — pc× fewer
+    # concatenations
+    lx_by_row: dict[int, SparseVector] = {}
     # loop invariants: the put cost is a pure function of machine constants,
     # the x partition bounds never change mid-op, and the row team (with its
     # part sizes) depends only on the processor row
@@ -438,11 +348,7 @@ def spmspv_dist(
             teams_by_row[i] = (row_team, part_sizes)
         else:
             row_team, part_sizes = team
-        lx = (
-            lx_by_row.get(i)
-            if spmd_ly is not None or fastpath.enabled()
-            else None
-        )
+        lx = lx_by_row.get(i)
         if lx is None:
             idx_parts, val_parts = [], []
             for t in row_team:
@@ -511,16 +417,12 @@ def spmspv_dist(
         gather_ts.append(gt)
 
         # ---- Step 2: local multiply (with this column block's mask slice)
-        if spmd_ly is not None:
-            ly, row_nnzs = spmd_ly[loc.id]
-        else:
-            mask_slice = (
-                np.asarray(mask, dtype=bool)[clo:chi] if mask is not None else None
-            )
-            ly, row_nnzs = _local_spmspv(
-                a.block(i, j), lx, semiring, sort,
-                mask=mask_slice, complement=complement,
-            )
+        mask_slice = (
+            np.asarray(mask, dtype=bool)[clo:chi] if mask is not None else None
+        )
+        ly, row_nnzs = _local_spmspv(
+            a.block(i, j), lx, semiring, mask=mask_slice, complement=complement
+        )
         mb = spmspv_shm_cost(
             machine,
             row_nnzs=row_nnzs,
@@ -547,9 +449,9 @@ def spmspv_dist(
         # group the outgoing puts by owner in one vectorised pass (stable,
         # ascending owners — bit-compatible with the per-owner mask loop).
         # ly.indices is sorted and out_dist is contiguous, so owners is
-        # already non-decreasing: the fast path skips the identity argsort.
+        # already non-decreasing: skip the identity argsort.
         uniq, offsets, (gidx_s, vals_s) = group_by_owner(
-            owners, gidx, ly.values, assume_sorted=fastpath.enabled()
+            owners, gidx, ly.values, assume_sorted=True
         )
         if uniq.size:
             scatter_counts[loc.id, uniq] = offsets[1:] - offsets[:-1]
@@ -719,7 +621,7 @@ def spmspv_dist_1d(
         # x's block k covers exactly the row band of locale k only when the
         # two Block1D partitions agree — they do by construction.
         lx = x.blocks[k]
-        ly, row_nnzs = _local_spmspv(a.blocks[k], lx, semiring, sort)
+        ly, row_nnzs = _local_spmspv(a.blocks[k], lx, semiring)
         partials.append(ly)
         mb = spmspv_shm_cost(
             machine, row_nnzs=row_nnzs, out_nnz=ly.nnz, ncols=a.ncols, sort=sort

@@ -1,11 +1,6 @@
 """The Chapel-like runtime simulator: machine model, locales, tasks, comm."""
 
-from . import fastpath
-from . import spmd
 from .aggregation import (
-    BufferPool,
-    PoolStats,
-    default_pool,
     AGG_DEFAULT,
     AggregationConfig,
     ExchangeCost,
@@ -51,11 +46,10 @@ __all__ = [
     "bump_epoch", "epoch_of",
     "RETRY_STEP", "FaultEvent", "FaultInjector", "FaultPlan", "LocaleFailure",
     "RetryExhausted", "RetryPolicy",
-    "AGG_DEFAULT", "AggregationConfig", "BufferPool", "ExchangeCost",
-    "PoolStats", "default_pool", "exchange",
+    "AGG_DEFAULT", "AggregationConfig", "ExchangeCost", "exchange",
     "flush_cost", "flush_startup", "gather_agg", "gather_agg_ft",
     "group_by_owner", "merge_superstep_batches", "overlap_exposed",
-    "split_exposed", "fastpath", "spmd",
+    "split_exposed",
     "MetricsRegistry", "default_registry", "chrome_trace", "trace_summary",
     "write_chrome_trace", "write_trace_csv", "write_trace_summary",
 ]

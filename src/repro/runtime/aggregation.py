@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fastpath
 from .config import MachineConfig
 from .faults import FaultInjector
 from .locale import LocaleGrid
@@ -53,9 +52,6 @@ from .telemetry import registry as _metrics
 __all__ = [
     "AggregationConfig",
     "AGG_DEFAULT",
-    "BufferPool",
-    "PoolStats",
-    "default_pool",
     "ceil_div",
     "group_by_owner",
     "merge_superstep_batches",
@@ -124,137 +120,6 @@ AGG_DEFAULT = AggregationConfig()
 
 
 # ---------------------------------------------------------------------------
-# buffer pool (epoch/arena recycling of exchange scratch arrays)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PoolStats:
-    """Wall-clock telemetry of a :class:`BufferPool`.
-
-    ``hits``/``misses`` count :meth:`BufferPool.take` calls served from the
-    free lists vs freshly allocated; ``live`` is the number of arrays handed
-    out this epoch; ``pooled`` the number parked on the free lists.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    live: int = 0
-    pooled: int = 0
-
-
-class BufferPool:
-    """Epoch/arena recycler for the exchange layer's numpy scratch arrays.
-
-    The distributed kernels allocate the same small dense arrays every
-    superstep — the ``(p, p)`` traffic matrices and per-locale cost vectors
-    of :func:`exchange` — which at ~50× interpreter overhead is real wall
-    time.  The pool turns steady-state supersteps into zero-allocation
-    ones:
-
-    * :meth:`take` hands out an array of the requested shape/dtype, reusing
-      a free one when available (zeroed on request);
-    * :meth:`reset` *starts a new epoch*: every array handed out since the
-      previous reset goes back on the free lists.  Callers invoke it at
-      **operation entry** (``spmspv_dist``, ``redistribute``), never
-      mid-operation, so everything taken during one op — including the
-      arrays an :class:`ExchangeCost` still references — stays valid until
-      the next op begins.
-
-    Arrays obtained from the pool are therefore valid until the next epoch
-    only; copy anything that must outlive the operation.  With
-    :mod:`repro.runtime.fastpath` disabled, :meth:`take` degrades to plain
-    allocation and the pool stays empty — reference runs are pool-free by
-    construction.  Free lists are capped per (shape, dtype) so a one-off
-    grid size can never pin memory forever.
-    """
-
-    #: free-list retention cap per (shape, dtype) key
-    MAX_PER_KEY = 16
-
-    def __init__(self) -> None:
-        self._free: dict[tuple, list[np.ndarray]] = {}
-        self._live: list[np.ndarray] = []
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def _key(shape, dtype) -> tuple:
-        if isinstance(shape, (int, np.integer)):
-            shape = (int(shape),)
-        else:
-            shape = tuple(int(s) for s in shape)
-        return shape, np.dtype(dtype).str
-
-    def _allocate(self, shape, dtype) -> np.ndarray:
-        """The single allocation seam — the counting-allocator tests patch
-        this to prove steady-state supersteps allocate nothing."""
-        return np.empty(shape, dtype=dtype)
-
-    def take(self, shape, dtype=np.float64, *, zero: bool = True) -> np.ndarray:
-        """Return an array of ``shape``/``dtype``, recycled when possible.
-
-        ``zero=True`` (the default) guarantees the array reads as
-        ``np.zeros`` would; recycled arrays are re-zeroed in one C fill.
-        The array belongs to the current epoch — see :meth:`reset`.
-        """
-        key = self._key(shape, dtype)
-        if not fastpath.enabled():
-            arr = self._allocate(key[0], dtype)
-            if zero:
-                arr.fill(0)
-            return arr
-        bucket = self._free.get(key)
-        if bucket:
-            arr = bucket.pop()
-            self.hits += 1
-        else:
-            arr = self._allocate(key[0], dtype)
-            self.misses += 1
-        if zero:
-            arr.fill(0)
-        self._live.append(arr)
-        return arr
-
-    def reset(self) -> None:
-        """Start a new epoch: recycle every array handed out since the last
-        one.  Called at operation entry only — never between a ``take`` and
-        the last read of that array."""
-        for arr in self._live:
-            bucket = self._free.setdefault(self._key(arr.shape, arr.dtype), [])
-            if len(bucket) < self.MAX_PER_KEY:
-                bucket.append(arr)
-        self._live.clear()
-
-    def clear(self) -> None:
-        """Drop every pooled and live array (test isolation / grid churn)."""
-        self._free.clear()
-        self._live.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def stats(self) -> PoolStats:
-        """Snapshot of hit/miss counters and current occupancy."""
-        return PoolStats(
-            hits=self.hits,
-            misses=self.misses,
-            live=len(self._live),
-            pooled=sum(len(b) for b in self._free.values()),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        s = self.stats()
-        return (
-            f"BufferPool(hits={s.hits}, misses={s.misses}, "
-            f"live={s.live}, pooled={s.pooled})"
-        )
-
-
-#: The process-wide pool used by the exchange layer and the dist kernels.
-default_pool = BufferPool()
-
-
-# ---------------------------------------------------------------------------
 # vectorised group-by (the wall-clock hot path)
 # ---------------------------------------------------------------------------
 
@@ -314,10 +179,8 @@ def merge_superstep_batches(
     **source-locale order** — the order is part of the contract: entries
     with equal global index keep batch order (the stable sort preserves
     it), which makes the merge bit-identical to a per-owner concatenation
-    regardless of which worker *computed* each batch first.  This is what
-    lets the SPMD pool (:mod:`repro.runtime.spmd`) return per-locale
-    partials in any completion order: the kernel re-assembles batches by
-    task index and this seam's output is a pure function of that sequence.
+    regardless of which locale *computed* each batch first: this seam's
+    output is a pure function of the batch sequence.
 
     ``combine(values, starts)`` folds duplicate-index segments (the
     monoid's ``reduceat``); ``argsort(keys, bound)`` supplies the stable
@@ -527,15 +390,11 @@ def exchange(
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (p, p):
         raise ValueError(f"counts must be ({p}, {p}), got {counts.shape}")
-    # pooled per-epoch scratch: valid until the calling op's next entry
-    # (the returned ExchangeCost references these arrays — see BufferPool)
-    send = default_pool.take(p, np.float64)
-    retry = default_pool.take(p, np.float64)
-    msgs = default_pool.take(p, np.int64)
-    # metric increments are batched per leg (one inc per counter per leg
-    # instead of three per shipped stream) when the fast path is on —
-    # counter totals and labels are unchanged, only the call count drops
-    batch_metrics = fastpath.enabled()
+    send = np.zeros(p, np.float64)
+    retry = np.zeros(p, np.float64)
+    msgs = np.zeros(p, np.int64)
+    # metric increments are batched per leg: one inc per counter per leg
+    # instead of three per shipped stream
     pending: dict[str, list[int]] = {}
 
     def _ship(k: int, n_elems: int, src: int, dst: int, leg: str) -> None:
@@ -543,16 +402,9 @@ def exchange(
             return
         batches = num_flushes(n_elems, agg.flush_elems)
         cost = flush_cost(cfg, n_elems, agg=agg, local=local)
-        if batch_metrics:
-            acc = pending.setdefault(leg, [0, 0])
-            acc[0] += batches
-            acc[1] += n_elems * agg.itemsize
-        else:
-            _metrics.counter("agg.flush.batches").inc(batches, site="exchange", leg=leg)
-            _metrics.counter("agg.bytes").inc(
-                n_elems * agg.itemsize, site="exchange", leg=leg
-            )
-            _metrics.counter("agg.exchange.messages").inc(batches, leg=leg)
+        acc = pending.setdefault(leg, [0, 0])
+        acc[0] += batches
+        acc[1] += n_elems * agg.itemsize
         if faults is not None:
             base, extra = faults.batched_transfer(
                 f"{site}.{leg}[{src}->{dst}]", batches, cost / batches,
@@ -583,7 +435,7 @@ def exchange(
     # row-major by construction (LocaleGrid: id == i*pc + j), so teams are
     # index arithmetic instead of per-member grid lookups.
     pc = grid.cols
-    mid_counts = default_pool.take((p, p), np.int64)
+    mid_counts = np.zeros((p, p), np.int64)
     col_dest_ids = [np.arange(j2, p, pc) for j2 in range(pc)]
     for loc in grid:
         s = loc.id

@@ -1,12 +1,12 @@
 """Mutation epochs — the cache-invalidation currency of streaming updates.
 
-The plan cache (:class:`~repro.ops.dispatch.PlanCache`) and the transpose
-caches key on *operand identity*: the same matrix object is assumed to
-hold the same data.  Batch-static workloads satisfy that by construction
+The dispatcher's transpose cache and the service's result cache key on
+*operand identity*: the same matrix object is assumed to hold the same
+data.  Batch-static workloads satisfy that by construction
 — storage is never mutated after build — but the streaming engine
 (:mod:`repro.streaming`) applies delta batches **in place**, so identity
-anchors alone would happily replay a plan (or a materialised ``Aᵀ``)
-priced against data that no longer exists.
+anchors alone would happily replay a materialised ``Aᵀ`` (or a query
+result) computed from data that no longer exists.
 
 This module is the fix's single primitive: every mutable storage object
 (:class:`~repro.sparse.csr.CSRMatrix`,

@@ -33,8 +33,7 @@ op entry (:meth:`FaultInjector.check_grid`) and the locale is the
 receiving endpoint.  Keying on the *position* of the draw rather than on
 call order makes the sequences order-independent: two runs of the same
 (plan, policy, workload) observe identical faults even if the per-locale
-work is executed in a different interleaving (the SPMD process pool of
-:mod:`repro.runtime.spmd` relies on this).
+work is executed in a different interleaving.
 """
 
 from __future__ import annotations
@@ -231,7 +230,7 @@ class FaultInjector:
         Each triple owns an independent stream derived from the plan seed,
         so the draws one endpoint consumes are a pure function of *where*
         it is in the computation, never of how many draws other locales
-        made first — serial and pooled execution read identical sequences.
+        made first — any execution order reads identical sequences.
         """
         key = (site, self._superstep, locale)
         rs = self._streams.get(key)

@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import fastpath
 from .config import MachineConfig
 from .telemetry import registry as _metrics
 
@@ -92,10 +91,7 @@ def makespan(
         return burden
     if t_eff == 1:
         return burden + float(chunk_seconds.sum())
-    if fastpath.enabled():
-        bounds = _worker_bounds(chunk_seconds.size, t_eff)
-    else:
-        bounds = np.linspace(0, chunk_seconds.size, t_eff + 1).astype(np.int64)
+    bounds = _worker_bounds(chunk_seconds.size, t_eff)
     cum = np.concatenate(([0.0], np.cumsum(chunk_seconds)))
     per_worker = cum[bounds[1:]] - cum[bounds[:-1]]
     return burden + float(per_worker.max())

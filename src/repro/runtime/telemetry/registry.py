@@ -36,8 +36,6 @@ from __future__ import annotations
 import bisect
 from contextlib import contextmanager
 
-from .. import fastpath
-
 __all__ = [
     "MetricError",
     "MetricsRegistry",
@@ -97,17 +95,14 @@ class Metric:
                 f"label {SCOPE_LABEL!r} is reserved for the scope stack"
             )
         scope = self._registry.scope_label()
-        if fastpath.enabled():
-            try:
-                ck = (scope, tuple(labels.items()))
-                cached = self._key_cache.get(ck)
-            except TypeError:  # unhashable label value — fall through
-                ck = None
-                cached = None
-            if cached is not None:
-                return cached
-        else:
+        try:
+            ck = (scope, tuple(labels.items()))
+            cached = self._key_cache.get(ck)
+        except TypeError:  # unhashable label value — fall through
             ck = None
+            cached = None
+        if cached is not None:
+            return cached
         if scope is not None:
             labels = dict(labels, **{SCOPE_LABEL: scope})
         key = _label_key(labels)

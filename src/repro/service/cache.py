@@ -7,7 +7,7 @@ finished per-source results keyed on
     ``(algo, args, storage identity, mutation epoch)``
 
 with the storage object itself kept as an *identity anchor* (compared
-with ``is``, exactly like :class:`~repro.ops.dispatch.PlanCache`), so a
+with ``is``, like the dispatcher's transpose cache), so a
 recycled ``id()`` can never alias a dead graph's results.  The epoch
 component is the whole invalidation story: every streaming delta batch
 bumps the storage's mutation epoch (:mod:`repro.runtime.epoch`) through

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..algebra.monoid import Monoid, PLUS_MONOID
-from ..runtime import fastpath
 
 __all__ = ["COOMatrix", "coalesce"]
 
@@ -41,7 +40,7 @@ def coalesce(
         )
     if rows.size == 0:
         return rows, cols, values
-    if fastpath.enabled() and rows.size > 1:
+    if rows.size > 1:
         # already strictly (row, col)-sorted with unique coordinates —
         # e.g. block cuts of an existing CSR — means the stable lexsort is
         # the identity permutation and no duplicates need merging, so the

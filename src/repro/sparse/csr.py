@@ -18,7 +18,6 @@ import numpy as np
 
 from ..algebra.functional import IndexUnaryOp, UnaryOp
 from ..algebra.monoid import Monoid, PLUS_MONOID
-from ..runtime import fastpath
 from .coo import COOMatrix, coalesce
 
 __all__ = ["CSRMatrix"]
@@ -302,27 +301,14 @@ class CSRMatrix:
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenate ``[starts[i], starts[i]+lens[i])`` ranges, vectorised.
 
-    Fast path: ``repeat`` the rebased segment starts (zero-length segments
-    drop out of ``repeat`` natively) and add the flat offset — three passes,
-    no boolean scan.  Reference path keeps the seed's cumsum-of-deltas
-    construction.  Both produce the identical integer array.
+    ``repeat`` the rebased segment starts (zero-length segments drop out of
+    ``repeat`` natively) and add the flat offset — three passes, no boolean
+    scan.
     """
-    if fastpath.enabled():
-        seg_ends = np.cumsum(lens)
-        total = int(seg_ends[-1]) if seg_ends.size else 0
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.repeat(starts - (seg_ends - lens), lens) + np.arange(
-            total, dtype=np.int64
-        )
-    total = int(lens.sum())
+    seg_ends = np.cumsum(lens)
+    total = int(seg_ends[-1]) if seg_ends.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    seg_ends = np.cumsum(lens)
-    out = np.ones(total, dtype=np.int64)
-    nz = np.flatnonzero(lens)
-    # flat positions where each non-empty segment begins
-    firsts = seg_ends[nz] - lens[nz]
-    out[firsts[0]] = starts[nz[0]]
-    out[firsts[1:]] = starts[nz[1:]] - (starts[nz[:-1]] + lens[nz[:-1]] - 1)
-    return np.cumsum(out)
+    return np.repeat(starts - (seg_ends - lens), lens) + np.arange(
+        total, dtype=np.int64
+    )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..runtime import fastpath
 from .coo import COOMatrix
 from .csr import CSRMatrix, _ranges
 
@@ -141,32 +140,10 @@ class DCSRMatrix:
         """Submatrix of the given rows (in the given order), as CSR — the
         row-gather SpGEMM's expansion step performs per A-nonzero.
 
-        Fast path: one vectorised binary search (:meth:`rows_of`) plus a
-        ranges gather, mirroring :meth:`CSRMatrix.extract_rows`; the
-        reference path walks rows one :meth:`row` lookup at a time.  Both
-        return bit-identical CSR output.
+        One vectorised binary search (:meth:`rows_of`) plus a ranges
+        gather, mirroring :meth:`CSRMatrix.extract_rows`.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        if not fastpath.enabled():
-            out_ptr = np.zeros(rows.size + 1, dtype=np.int64)
-            cols: list[np.ndarray] = []
-            vals: list[np.ndarray] = []
-            for k in range(rows.size):
-                rcols, rvals = self.row(int(rows[k]))
-                out_ptr[k + 1] = out_ptr[k] + rcols.size
-                cols.append(rcols)
-                vals.append(rvals)
-            return CSRMatrix(
-                rows.size,
-                self.ncols,
-                out_ptr,
-                np.concatenate(cols) if cols else np.empty(0, np.int64),
-                (
-                    np.concatenate(vals)
-                    if vals
-                    else np.empty(0, self.values.dtype)
-                ),
-            )
         hp, starts, stops = self.rows_of(rows)
         lens = np.zeros(rows.size, dtype=np.int64)
         lens[hp] = stops - starts

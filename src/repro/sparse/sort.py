@@ -4,37 +4,25 @@ Paper §III-D: "we use parallel merge sort available in Chapel.  Since SpMSpV
 requires sorting of integer indices, a less expensive integer sorting
 algorithm (e.g., radix sort) is expected to reduce the sorting cost down".
 
-Two algorithms are provided, each in two proven-bit-identical forms:
-
-* a **reference** implementation (``merge_sort_reference`` /
-  ``radix_sort_reference``) that spells the paper's algorithm out step by
-  step in Python — bottom-up merge passes, per-digit counting scatters —
-  and is the oracle the differential suite
-  (``tests/ops/test_kernel_oracles.py``) pins the fast path against;
-* a **vectorized fast path** (used when
-  :mod:`repro.runtime.fastpath` is enabled, the default) that produces the
-  same sorted array through numpy's C loops — per-8-bit-digit stable
-  ``argsort`` passes for radix, one stable sort for merge.  Sorting bare
-  integer keys has a unique answer, so bit-identity holds by construction
-  and the suite enforces it anyway.
+Two algorithms are provided, both executed through numpy's C loops:
+merge sort as one stable sort, radix sort as per-8-bit-digit stable
+``argsort`` passes.  Sorting bare integer keys has a unique answer, so
+both return the same array; ``tests/ops/test_kernel_oracles.py`` pins them
+against spelled-out Python oracles of the paper's algorithms.
 
 The *simulated* cost of sorting is charged by
 :func:`repro.runtime.tasks.sort_time` from the pass structure of the
-reference algorithms; which implementation executes never changes a
-simulated number — only wall-clock time (``benchmarks/test_abl_wall.py``).
+algorithms (log2(n) merge passes, ``ceil(key_bits / 8)`` radix passes);
+the executing implementation never changes a simulated number.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..runtime import fastpath
-
 __all__ = [
     "merge_sort",
-    "merge_sort_reference",
     "radix_sort",
-    "radix_sort_reference",
     "merge_two",
     "merge_sort_cost",
     "radix_sort_cost",
@@ -50,10 +38,9 @@ def stable_argsort_bounded(keys: np.ndarray, bound: int) -> np.ndarray:
     key byte, so sorting int64 keys that all fit in one or two bytes wastes
     6-7 passes.  Casting to the narrowest unsigned dtype that holds
     ``bound - 1`` is order-preserving and injective, hence the stable
-    permutation is *identical* — the differential suite pins this.  Only
-    active on the fast path; reference mode keeps the plain argsort.
+    permutation is *identical* — the differential suite pins this.
     """
-    if fastpath.enabled() and keys.size >= 64 and 0 < bound <= (1 << 32):
+    if keys.size >= 64 and 0 < bound <= (1 << 32):
         if bound <= (1 << 8):
             return np.argsort(keys.astype(np.uint8), kind="stable")
         if bound <= (1 << 16):
@@ -83,94 +70,28 @@ def merge_two(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def merge_sort_reference(keys: np.ndarray) -> np.ndarray:
-    """Bottom-up merge sort, pass by pass; returns a new sorted array.
-
-    Runs double in width each pass; each pass merges adjacent run pairs with
-    the vectorised :func:`merge_two`.  O(n log n) comparisons, log2(n)
-    passes — the pass count is what the simulated parallel-sort cost model
-    charges (each pass is a parallel step in Chapel's merge sort).
-    """
-    keys = np.asarray(keys)
-    n = keys.size
-    if n <= 1:
-        return keys.copy()
-    cur = keys.copy()
-    width = 1
-    while width < n:
-        nxt = np.empty_like(cur)
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            nxt[lo:hi] = merge_two(cur[lo:mid], cur[mid:hi])
-        cur = nxt
-        width *= 2
-    return cur
-
-
 def merge_sort(keys: np.ndarray) -> np.ndarray:
     """Merge sort of integer keys; returns a new sorted array.
 
-    Fast path: one stable C sort (bit-identical to the reference — sorted
-    bare keys are unique).  Reference mode runs the explicit bottom-up
-    passes of :func:`merge_sort_reference`.
+    One stable C sort: sorted bare keys are unique, so the result equals
+    that of the bottom-up merge passes the cost model charges.
     """
-    if not fastpath.enabled():
-        return merge_sort_reference(keys)
     keys = np.asarray(keys)
     if keys.size <= 1:
         return keys.copy()
     return np.sort(keys, kind="stable")
 
 
-def radix_sort_reference(keys: np.ndarray, key_bits: int | None = None) -> np.ndarray:
-    """LSD radix sort spelled out: per-digit counting passes in Python.
-
-    Counting sort per 8-bit digit: histogram with ``bincount``, exclusive
-    prefix sum for bucket offsets, stable per-bucket scatter.  Number of
-    passes is ``ceil(key_bits / 8)`` where ``key_bits`` defaults to the bit
-    width of the maximum key — sorting n-bounded graph indices takes 3-4
-    passes instead of merge sort's log2(nnz) passes, which is the paper's
-    argument for radix sort.
-    """
-    keys = np.asarray(keys)
-    if keys.size and keys.min() < 0:
-        raise ValueError("radix_sort requires non-negative keys")
-    if keys.size <= 1:
-        return keys.copy()
-    if key_bits is None:
-        mx = int(keys.max())
-        key_bits = max(int(mx).bit_length(), 1)
-    cur = keys.astype(np.int64, copy=True)
-    n_passes = (key_bits + 7) // 8
-    out = np.empty_like(cur)
-    for p in range(n_passes):
-        digits = (cur >> (8 * p)) & 0xFF
-        counts = np.bincount(digits, minlength=256)
-        offsets = np.zeros(256, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        # stable counting-sort scatter: flatnonzero yields each bucket's
-        # members in ascending original order, preserving stability.
-        for b in np.flatnonzero(counts):
-            members = np.flatnonzero(digits == b)
-            out[offsets[b] : offsets[b] + members.size] = cur[members]
-        cur, out = out, cur
-    # hand back the caller's dtype (the size<=1 path already preserves it)
-    return cur.astype(keys.dtype, copy=True)
-
-
 def radix_sort(keys: np.ndarray, key_bits: int | None = None) -> np.ndarray:
     """LSD radix sort of non-negative integer keys; returns a sorted copy.
 
-    Fast path: the same LSD pass structure (``ceil(key_bits / 8)`` stable
-    passes over 8-bit digits), with each pass's counting scatter executed
-    as one vectorized stable ``argsort`` of the digit array instead of a
-    per-bucket Python loop.  Stability per pass is what makes LSD radix
-    correct, so the result is bit-identical to
-    :func:`radix_sort_reference` — the oracle suite pins it.
+    ``ceil(key_bits / 8)`` stable passes over 8-bit digits, where
+    ``key_bits`` defaults to the bit width of the maximum key — sorting
+    n-bounded graph indices takes 3-4 passes instead of merge sort's
+    log2(nnz) passes, which is the paper's argument for radix sort.  Each
+    pass's counting scatter runs as one stable ``argsort`` of the digit
+    array; stability per pass is what makes LSD radix correct.
     """
-    if not fastpath.enabled():
-        return radix_sort_reference(keys, key_bits)
     keys = np.asarray(keys)
     if keys.size and keys.min() < 0:
         raise ValueError("radix_sort requires non-negative keys")

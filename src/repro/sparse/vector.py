@@ -20,7 +20,6 @@ import numpy as np
 
 from ..algebra.functional import BinaryOp, UnaryOp
 from ..algebra.monoid import Monoid, PLUS_MONOID
-from ..runtime import fastpath
 from .sort import stable_argsort_bounded
 
 __all__ = ["SparseVector", "DenseVector"]
@@ -85,10 +84,9 @@ class SparseVector:
                 # starts is strictly increasing and in range by construction,
                 # so the dense segmented reduce is bit-identical to the
                 # general one (which handles empty/trailing segments)
-                reduceat = (
-                    dup.reduceat_dense if fastpath.enabled() else dup.reduceat
+                values = np.asarray(
+                    dup.reduceat_dense(values, starts), dtype=values.dtype
                 )
-                values = np.asarray(reduceat(values, starts), dtype=values.dtype)
                 indices = indices[starts]
         return cls(capacity, indices, values)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algebra.functional import MAX, OFFDIAG
-from repro.algorithms import greedy_coloring, is_valid_coloring
+from repro.algorithms import SelfLoopError, greedy_coloring, is_valid_coloring
 from repro.generators import complete_graph, cycle_graph, erdos_renyi, path_graph
 from repro.ops import ewiseadd_mm
 from repro.sparse import CSRMatrix
@@ -60,3 +60,15 @@ class TestColoring:
         a = path_graph(3)
         bad = np.array([0, 0, 1])
         assert not is_valid_coloring(a, bad)
+
+    def test_self_loops_raise_instead_of_spinning(self):
+        """Regression: a self-looped vertex never joins an MIS, so the colour
+        loop used to run forever on ``erdos_renyi(50, 6, seed=3)`` (7 loops)."""
+        a = erdos_renyi(50, 6, seed=3)
+        rows = a.row_indices()
+        loops = np.unique(rows[rows == a.colidx])
+        assert loops.size == 7
+        with pytest.raises(SelfLoopError) as err:
+            greedy_coloring(a)
+        assert np.array_equal(err.value.vertices, loops)
+        assert str(int(loops[0])) in str(err.value)

@@ -15,6 +15,7 @@ from repro.ops.dispatch import (
 )
 from repro.ops.spmspv import spmspv_shm
 from repro.runtime import CostLedger, LocaleGrid, Machine, Trace, shared_machine
+from repro.runtime.epoch import bump_epoch
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.vector import SparseVector
 
@@ -148,6 +149,16 @@ class TestTransposeCache:
         assert not any(
             e[0] == "dispatch[transpose]" for e in machine.ledger.entries
         )
+
+    def test_transpose_cache_respects_epoch(self):
+        """An in-place mutation (a streaming delta batch bumps the epoch)
+        rebuilds the cached transpose instead of replaying the stale one."""
+        a, _ = _workload()
+        disp = Dispatcher(_machine())
+        at0 = disp.transpose_of(a)
+        assert disp.transpose_of(a) is at0  # warm
+        bump_epoch(a)
+        assert disp.transpose_of(a) is not at0  # rebuilt, re-billed
 
     def test_cached_transpose_removes_build_from_estimate(self):
         a, x = _workload()

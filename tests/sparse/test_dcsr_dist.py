@@ -8,7 +8,7 @@ that differentially:
 
 * DCSR ⇄ CSR round trips at hypersparse densities are lossless;
 * the vectorised DCSR row lookup (``extract_rows``) is bit-identical to
-  both its per-row reference and the CSR gather;
+  the CSR gather;
 * sparse SUMMA (2-D and 3-D, bulk and agg, masked fused and post) over
   DCSR-blocked operands produces bit-identical matrices *and* bit-
   identical breakdowns/ledger totals to CSR-blocked runs — including
@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.distributed import DistSparseMatrix
 from repro.exec.descriptor import merge_dist_matrix
 from repro.ops import mxm, mxm_dist
-from repro.ops.dispatch import Dispatcher, PlanCache
+from repro.ops.dispatch import Dispatcher
 from repro.ops.matrix_dist import mxm_gathered
 from repro.ops.mxm_dist import replication_factors
 from repro.runtime import (
@@ -34,9 +34,7 @@ from repro.runtime import (
     FaultInjector,
     LocaleGrid,
     Machine,
-    fastpath,
 )
-from repro.runtime.telemetry import registry as telemetry_registry
 from repro.sparse import (
     CSRMatrix,
     DCSRMatrix,
@@ -85,7 +83,7 @@ class TestRoundTrip:
 
     @settings(PROFILE, deadline=None)
     @given(hypersparse_csr(), st.data())
-    def test_extract_rows_matches_csr_and_reference(self, a, data):
+    def test_extract_rows_matches_csr(self, a, data):
         rows = np.array(
             data.draw(
                 st.lists(st.integers(0, a.nrows - 1), min_size=0, max_size=40)
@@ -93,11 +91,7 @@ class TestRoundTrip:
             dtype=np.int64,
         )
         d = DCSRMatrix.from_csr(a)
-        want = a.extract_rows(rows)
-        with fastpath.force(True):
-            assert_bit_identical(d.extract_rows(rows), want)
-        with fastpath.force(False):
-            assert_bit_identical(d.extract_rows(rows), want)
+        assert_bit_identical(d.extract_rows(rows), a.extract_rows(rows))
 
     @settings(PROFILE, deadline=None)
     @given(hypersparse_csr())
@@ -329,45 +323,6 @@ class TestDispatcherAxis:
             for comm in ("bulk", "agg")
         ]
         assert bill() <= 1.1 * min(fixed)
-
-
-class TestPlanCacheStats:
-    def test_eviction_counter_and_telemetry(self):
-        cache = PlanCache(max_entries=2)
-        base = telemetry_registry.counter("dispatch.plan_cache").total(
-            outcome="eviction"
-        )
-        cache.store(("op_a", 1), {"x": 1.0})
-        cache.store(("op_a", 2), {"x": 2.0})
-        assert cache.evictions == 0
-        cache.store(("op_a", 3), {"x": 3.0})  # FIFO evicts key 1
-        assert cache.evictions == 1
-        assert cache.lookup(("op_a", 1)) is None
-        assert cache.lookup(("op_a", 3)) == {"x": 3.0}
-        assert cache.stats() == {
-            "hits": 1, "misses": 1, "evictions": 1, "entries": 2,
-        }
-        after = telemetry_registry.counter("dispatch.plan_cache").total(
-            outcome="eviction"
-        )
-        assert after == base + 1
-        assert (
-            telemetry_registry.counter("dispatch.plan_cache").value(
-                outcome="eviction", op="op_a"
-            )
-            >= 1
-        )
-
-    def test_dispatcher_mxm_plans_are_cached(self):
-        a = _ba_graph()
-        grid = LocaleGrid(4, 4)
-        d = Dispatcher(Machine(grid=grid, threads_per_locale=2))
-        ad = DistSparseMatrix.from_global(a, grid)
-        with fastpath.force(True):
-            d.mxm_dist(ad, ad)
-            h0 = d.plan_cache.stats()["hits"]
-            d.mxm_dist(ad, ad)
-        assert d.plan_cache.stats()["hits"] == h0 + 1
 
 
 class TestGatheredUniformity:

@@ -149,30 +149,25 @@ class TestCacheInvalidation:
         """The end-to-end staleness check: a warm-cached backend that just
         mutated its matrix must agree exactly with a cold one built on the
         post-update graph."""
-        from repro.runtime import fastpath
-
         a = graph()
         batch = insert_batch(16, [(0, 7), (7, 3)], w=2.0)
-        with fastpath.force(True):
-            warm = make()
-            s = GraphStream(warm, a.copy(), registry=MetricsRegistry())
-            x = warm.vector(SparseVector.from_pairs(16, [0, 7], [1.0, 1.0]))
-            warm.vxm(x, s.handle, semiring=PLUS_TIMES)  # prime plan caches
-            s.apply(batch)
-            y_warm = warm.to_sparse(
-                warm.vxm(x, s.handle, semiring=PLUS_TIMES)
-            )
-            cold = make()
-            from repro.streaming import apply_batch_csr
+        warm = make()
+        s = GraphStream(warm, a.copy(), registry=MetricsRegistry())
+        x = warm.vector(SparseVector.from_pairs(16, [0, 7], [1.0, 1.0]))
+        warm.vxm(x, s.handle, semiring=PLUS_TIMES)  # warm the backend's caches
+        s.apply(batch)
+        y_warm = warm.to_sparse(warm.vxm(x, s.handle, semiring=PLUS_TIMES))
+        cold = make()
+        from repro.streaming import apply_batch_csr
 
-            post = apply_batch_csr(a, batch)
-            y_cold = cold.to_sparse(
-                cold.vxm(
-                    cold.vector(SparseVector.from_pairs(16, [0, 7], [1.0, 1.0])),
-                    cold.matrix(post),
-                    semiring=PLUS_TIMES,
-                )
+        post = apply_batch_csr(a, batch)
+        y_cold = cold.to_sparse(
+            cold.vxm(
+                cold.vector(SparseVector.from_pairs(16, [0, 7], [1.0, 1.0])),
+                cold.matrix(post),
+                semiring=PLUS_TIMES,
             )
+        )
         assert np.array_equal(y_warm.indices, y_cold.indices)
         assert np.array_equal(y_warm.values, y_cold.values)
 

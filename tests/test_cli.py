@@ -129,7 +129,8 @@ class TestGateCommand:
         assert main(["gate", "--check"]) == 0
         out = capsys.readouterr().out
         assert "bench-check" in out
-        assert "[PASS] bench wall" in out
+        for bench in ("agg", "frontend", "service", "spgemm", "streaming"):
+            assert f"[PASS] bench {bench}" in out
 
 
 class TestExtendedCommands:
