@@ -20,6 +20,7 @@ import numpy as np
 from ..algebra.semiring import MIN_SECOND
 from ..exec import Backend, DistBackend, ShmBackend
 from ..sparse.csr import CSRMatrix
+from ..sparse.sort import sorted_unique
 
 __all__ = [
     "connected_components",
@@ -97,7 +98,7 @@ def connected_components(
 
 def num_components(a: CSRMatrix, *, backend: Backend | None = None) -> int:
     """Number of connected components of the (undirected) graph."""
-    return int(np.unique(connected_components(a, backend=backend)).size)
+    return int(sorted_unique(connected_components(a, backend=backend)).size)
 
 
 def connected_components_incremental(

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
+from ..sparse.sort import sorted_unique
 from .mis import _mis_core
 
 __all__ = ["SelfLoopError", "greedy_coloring", "is_valid_coloring"]
@@ -54,7 +55,7 @@ def _greedy_coloring_core(b: Backend, a, *, seed: int) -> np.ndarray:
                 # so an empty class means only looped vertices are left
                 csr = b.to_csr(sub)
                 rows = csr.row_indices()
-                raise SelfLoopError(remaining[np.unique(rows[rows == csr.colidx])])
+                raise SelfLoopError(remaining[sorted_unique(rows[rows == csr.colidx])])
             colors[remaining[in_set]] = color
             keep = ~in_set
             if not keep.any():

@@ -312,8 +312,8 @@ def cmd_telemetry(args) -> int:
 
     from .algorithms import (
         bfs_levels,
-        connected_components,
         count_triangles,
+        num_components,
         pagerank,
         sssp,
     )
@@ -322,8 +322,7 @@ def cmd_telemetry(args) -> int:
         levels = bfs_levels(a, args.source, backend=backend)
         print(f"bfs: reached {int((levels >= 0).sum())}/{a.nrows} vertices")
     elif args.algo == "cc":
-        labels = connected_components(_symmetrized(a), backend=backend)
-        print(f"cc: {np.unique(labels).size} components")
+        print(f"cc: {num_components(_symmetrized(a), backend=backend)} components")
     elif args.algo == "pagerank":
         r = pagerank(a, backend=backend)
         print(f"pagerank: top vertex {int(np.argmax(r))}")

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..sparse.csr import CSRMatrix
 from ..sparse.dcsr import DCSRMatrix
+from ..sparse.sort import coo_order
 from .mask import mask_matrix
 from ..algebra.semiring import PLUS_TIMES, Semiring
 
@@ -90,11 +91,12 @@ def mxm_gustavson(
     """Row-wise Gustavson SpGEMM: per-row SPA merge semantics.
 
     All rows' SPA merges are batched into one vectorized pass — expand
-    every product, stable ``lexsort`` by ``(row, col)``, ``reduceat`` per
-    output entry with the additive monoid, cast to the SPA accumulator
-    dtype.  Per output coordinate the products arrive in exactly the order
-    a per-row SPA sees them, so the result is bit-identical to the per-row
-    loop — ``tests/ops/test_kernel_oracles.py`` pins it against that loop.
+    every product, one stable argsort of the combined ``(row, col)`` key
+    (:func:`~repro.sparse.sort.coo_order`), ``reduceat`` per output entry
+    with the additive monoid, cast to the SPA accumulator dtype.  Per
+    output coordinate the products arrive in exactly the order a per-row
+    SPA sees them, so the result is bit-identical to the per-row loop —
+    ``tests/ops/test_kernel_oracles.py`` pins it against that loop.
     """
     if a.ncols != b.nrows:
         raise ValueError(f"inner dimensions disagree: {a.ncols} vs {b.nrows}")
@@ -110,8 +112,8 @@ def mxm_gustavson(
     cols = expanded.colidx
     if products.size:
         # rows are already non-decreasing (row-major expansion); the stable
-        # lexsort groups each output coordinate keeping product order
-        order = np.lexsort((cols, out_rows))
+        # coordinate sort groups each output coordinate keeping product order
+        order = coo_order(out_rows, cols)
         out_rows, cols, products = out_rows[order], cols[order], products[order]
         is_first = np.empty(products.size, dtype=bool)
         is_first[0] = True

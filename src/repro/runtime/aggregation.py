@@ -138,8 +138,9 @@ def group_by_owner(
 
     ``assume_sorted=True`` promises the caller's ``owners`` are already
     non-decreasing (e.g. owners of a sorted index array under a contiguous
-    partition); the stable sort is then the identity permutation and the
-    payloads are returned as-is, boundaries found with one scan.
+    partition); the stable sort is then the identity permutation and is
+    skipped, so the payloads are returned as-is.  Either way the group
+    boundaries are found with one neighbour-comparison scan.
     """
     owners = np.asarray(owners, dtype=np.int64)
     if owners.size == 0:
@@ -148,18 +149,16 @@ def group_by_owner(
             np.zeros(1, np.int64),
             tuple(p[:0] for p in payloads),
         )
-    if assume_sorted:
-        is_first = np.empty(owners.size, dtype=bool)
-        is_first[0] = True
-        is_first[1:] = owners[1:] != owners[:-1]
-        starts = np.flatnonzero(is_first)
-        offsets = np.append(starts, owners.size).astype(np.int64)
-        return owners[starts], offsets, tuple(np.asarray(p) for p in payloads)
-    order = np.argsort(owners, kind="stable")
-    sorted_owners = owners[order]
-    uniq, starts = np.unique(sorted_owners, return_index=True)
+    if not assume_sorted:
+        order = np.argsort(owners, kind="stable")
+        owners = owners[order]
+        payloads = tuple(np.asarray(p)[order] for p in payloads)
+    is_first = np.empty(owners.size, dtype=bool)
+    is_first[0] = True
+    is_first[1:] = owners[1:] != owners[:-1]
+    starts = np.flatnonzero(is_first)
     offsets = np.append(starts, owners.size).astype(np.int64)
-    return uniq, offsets, tuple(np.asarray(p)[order] for p in payloads)
+    return owners[starts], offsets, tuple(np.asarray(p) for p in payloads)
 
 
 def merge_superstep_batches(

@@ -430,8 +430,10 @@ class FaultInjector:
         seq = np.arange(n, dtype=np.int64)
         # first pass: survivors arrive once, doubled elements arrive twice
         first_pass = np.concatenate([seq[~dropped], seq[doubled]])
-        # receiver de-duplicates by sequence tag
-        observed = np.unique(first_pass)
+        # receiver de-duplicates by sequence tag: a bitmap of the tags seen
+        seen = np.zeros(n, dtype=bool)
+        seen[first_pass] = True
+        observed = np.flatnonzero(seen)
         # sender times out on the missing acks and re-sends exactly those
         final = np.sort(np.concatenate([observed, seq[dropped]]))
         overhead = 0.0

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..algebra.monoid import Monoid, PLUS_MONOID
+from .sort import coo_order
 
 __all__ = ["COOMatrix", "coalesce"]
 
@@ -42,14 +43,15 @@ def coalesce(
         return rows, cols, values
     if rows.size > 1:
         # already strictly (row, col)-sorted with unique coordinates —
-        # e.g. block cuts of an existing CSR — means the stable lexsort is
-        # the identity permutation and no duplicates need merging, so the
-        # result below would be these arrays unchanged; two C comparisons
-        # beat re-sorting
+        # e.g. block cuts of an existing CSR — means the stable coordinate
+        # sort is the identity permutation and no duplicates need merging,
+        # so the result below would be these arrays unchanged; two C
+        # comparisons beat re-sorting
         up = rows[1:] > rows[:-1]
         if np.all(up | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))):
             return rows.copy(), cols.copy(), values.copy()
-    order = np.lexsort((cols, rows))
+    # stable, so each run of duplicates keeps its input order
+    order = coo_order(rows, cols)
     rows, cols, values = rows[order], cols[order], values[order]
     is_first = np.empty(rows.size, dtype=bool)
     is_first[0] = True

@@ -198,7 +198,7 @@ class CSRMatrix:
         t_rowptr = np.zeros(self.ncols + 1, dtype=np.int64)
         counts = np.bincount(self.colidx, minlength=self.ncols)
         np.cumsum(counts, out=t_rowptr[1:])
-        # stable ordering: sort nonzeros by (col, row); lexsort over the
+        # stable ordering: sort nonzeros by (col, row); a stable argsort of the
         # already row-sorted colidx gives positions grouped by column with
         # rows ascending inside each group.
         order = np.argsort(self.colidx, kind="stable")

@@ -10,6 +10,13 @@ merge sort as one stable sort, radix sort as per-8-bit-digit stable
 both return the same array; ``tests/ops/test_kernel_oracles.py`` pins them
 against spelled-out Python oracles of the paper's algorithms.
 
+Two more primitives serve construction rather than SpMSpV:
+:func:`sorted_unique` (the dedup behind the random generators) and
+:func:`coo_order` (the row-major triple sort behind ``coalesce`` and
+SpGEMM).  Both replace a slower numpy call — the hash-based plain
+``np.unique`` and the two-pass ``np.lexsort`` — with one sort, and both
+return exactly what the call they replace returns.
+
 The *simulated* cost of sorting is charged by
 :func:`repro.runtime.tasks.sort_time` from the pass structure of the
 algorithms (log2(n) merge passes, ``ceil(key_bits / 8)`` radix passes);
@@ -27,7 +34,53 @@ __all__ = [
     "merge_sort_cost",
     "radix_sort_cost",
     "stable_argsort_bounded",
+    "sorted_unique",
+    "coo_order",
 ]
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of integer ``keys`` — ``np.unique(keys)``.
+
+    Sort, then keep each entry that differs from its left neighbour.
+    Sorted distinct integers are unique, so this equals ``np.unique`` by
+    construction; it exists because numpy 2.x's plain ``np.unique`` takes
+    a hash-table path that is ~60x slower than one sort on millions of
+    int64 keys.
+    """
+    keys = np.sort(np.asarray(keys).ravel())
+    if keys.size <= 1:
+        return keys
+    keep = np.empty(keys.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def coo_order(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The stable permutation sorting coordinates row-major by ``(row, col)``.
+
+    One stable argsort of the combined key ``(row - rmin)·span + (col -
+    cmin)`` with ``span = cmax - cmin + 1``: the key orders pairs exactly
+    as ``(row, col)`` does and both sorts are stable, so this is the
+    permutation ``np.lexsort((cols, rows))`` returns, at one sort instead
+    of two.  ``np.lexsort`` remains only for coordinates whose combined
+    key would not fit in int64.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.size == 0:
+        return np.empty(0, dtype=np.intp)
+    rmin, rmax = int(rows.min()), int(rows.max())
+    cmin, cmax = int(cols.min()), int(cols.max())
+    span = cmax - cmin + 1
+    bound = (rmax - rmin + 1) * span
+    if bound > (1 << 63):
+        return np.lexsort((cols, rows))
+    key = rows - rmin
+    key *= span
+    key += cols - cmin if cmin else cols
+    return stable_argsort_bounded(key, bound)
 
 
 def stable_argsort_bounded(keys: np.ndarray, bound: int) -> np.ndarray:

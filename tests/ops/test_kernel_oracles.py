@@ -15,6 +15,10 @@ Coverage:
   small-array bypass;
 * ``merge_sort`` / ``radix_sort`` vs the bottom-up merge passes and the
   per-digit counting scatters;
+* ``sorted_unique`` vs ``np.unique``, ``coo_order`` vs
+  ``np.lexsort((cols, rows))`` (including its int64-overflow guard), and
+  ``coalesce`` vs the two-key lexsort coalesce, on duplicate float PLUS
+  sums where reduction order shows;
 * ``Monoid.reduceat_dense`` vs ``Monoid.reduceat`` under the dense-starts
   guarantee, across monoids and dtypes;
 * ``SparseVector.from_pairs`` (build with duplicates) vs a plain-sort,
@@ -68,9 +72,17 @@ from repro.runtime import (
 from repro.runtime.aggregation import group_by_owner
 from repro.sparse import DCSRMatrix
 from repro.sparse.csr import CSRMatrix, _ranges
-from repro.sparse.sort import merge_sort, radix_sort, stable_argsort_bounded
+from repro.sparse.coo import coalesce
+from repro.sparse.sort import (
+    coo_order,
+    merge_sort,
+    radix_sort,
+    sorted_unique,
+    stable_argsort_bounded,
+)
 from repro.sparse.vector import SparseVector
 from tests.oracles import (
+    coalesce_reference,
     dcsr_extract_rows_reference,
     from_pairs_reference,
     group_by_owner_reference,
@@ -170,6 +182,149 @@ class TestSortKernels:
     def test_radix_sort_matches_reference(self, keys):
         keys = np.array(keys, dtype=np.int64)
         assert_same_array(radix_sort_reference(keys.copy()), radix_sort(keys.copy()))
+
+
+@st.composite
+def _int_keys(draw, size=None):
+    """Integer keys whose value range is an explicit dimension: width 1
+    (all equal), a handful of values (heavy duplicates), or wide."""
+    n = draw(st.integers(0, 200)) if size is None else size
+    width = draw(st.sampled_from([1, 4, 2**40]))
+    lo = draw(st.sampled_from([0, -(2**20)]))
+    keys = st.lists(st.integers(lo, lo + width - 1), min_size=n, max_size=n)
+    return np.array(draw(keys), dtype=np.int64)
+
+
+class TestSortedUnique:
+    @given(keys=_int_keys())
+    @settings(PROFILE)
+    def test_matches_np_unique(self, keys):
+        assert_same_array(np.unique(keys), sorted_unique(keys))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.empty(0, dtype=np.int64),
+            np.array([7], dtype=np.int64),
+            np.full(50, 3, dtype=np.int64),
+            np.random.default_rng(0).integers(0, 3, size=1000),
+            np.array([5, 1, 5, 1], dtype=np.int32),
+        ],
+        ids=["empty", "one", "all-equal", "heavy-dups", "int32"],
+    )
+    def test_edge_cases(self, keys):
+        assert_same_array(np.unique(keys), sorted_unique(keys))
+
+
+class TestCooOrder:
+    @given(rows=_int_keys(), data=st.data())
+    @settings(PROFILE)
+    def test_matches_lexsort(self, rows, data):
+        cols = data.draw(_int_keys(size=rows.size))
+        assert_same_array(np.lexsort((cols, rows)), coo_order(rows, cols))
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ([], []),
+            ([4], [9]),
+            ([2] * 20, [2] * 20),
+            ([3, 1, 3, 1, 3, 0] * 50, [1, 1, 0, 1, 1, 2] * 50),
+        ],
+        ids=["empty", "one", "all-equal", "heavy-dups"],
+    )
+    def test_edge_cases(self, rows, cols):
+        rows = np.array(rows, dtype=np.int64)
+        cols = np.array(cols, dtype=np.int64)
+        assert_same_array(np.lexsort((cols, rows)), coo_order(rows, cols))
+
+    def test_int64_overflow_takes_lexsort_guard(self, monkeypatch):
+        """Rows spanning 2**40 times cols spanning 2**30 make a combined
+        key past int64; the guard must hand the sort to ``np.lexsort``
+        (and a key that just fits must not)."""
+        rng = np.random.default_rng(11)
+        rows = rng.integers(2**40 - 4, 2**40, size=300)
+        cols = rng.integers(2**30 - 4, 2**30, size=300)
+        rows[:2] = 0
+        cols[:2] = 0
+        expected = np.lexsort((cols, rows))
+        calls = []
+        lexsort = np.lexsort
+
+        def spy(keys, *args, **kw):
+            calls.append(1)
+            return lexsort(keys, *args, **kw)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        assert_same_array(expected, coo_order(rows, cols))
+        assert calls, "overflowing key did not reach the lexsort guard"
+
+        calls.clear()
+        small_rows = rows >> 8  # span 2**32 x 2**30 = 2**62: fits
+        expected = lexsort((cols, small_rows))
+        assert_same_array(expected, coo_order(small_rows, cols))
+        assert not calls, "a key that fits int64 must not fall back"
+
+
+def assert_same_triples(ref, got) -> None:
+    for r, g, name in zip(ref, got, ("rows", "cols", "values")):
+        assert_same_array(r, g, name)
+
+
+class TestCoalesce:
+    @given(
+        data=st.data(),
+        monoid=st.sampled_from(MONOIDS),
+        dtype=st.sampled_from(DTYPES),
+    )
+    @settings(PROFILE)
+    def test_matches_lexsort_reference(self, data, monoid, dtype):
+        n = data.draw(st.integers(0, 80))
+        coord = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+        rows = np.array(data.draw(coord), dtype=np.int64)
+        cols = np.array(data.draw(coord), dtype=np.int64)
+        vals = np.array(
+            data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+            dtype=dtype,
+        )
+        assert_same_triples(
+            coalesce_reference(rows, cols, vals, monoid),
+            coalesce(rows, cols, vals, monoid),
+        )
+
+    @given(data=st.data())
+    @settings(PROFILE)
+    def test_float_plus_sums_keep_input_order(self, data):
+        """Float PLUS is not associative: a duplicate run's sum depends on
+        its order, so bit-identity here proves the same stable order."""
+        n = data.draw(st.integers(1, 120))
+        coord = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        rows = np.array(data.draw(coord), dtype=np.int64)
+        cols = np.array(data.draw(coord), dtype=np.int64)
+        vals = np.array(
+            data.draw(
+                st.lists(
+                    st.sampled_from([1e16, -1e16, 1.0, 0.1, -3.3e-5, 2.5e8]),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        )
+        assert_same_triples(
+            coalesce_reference(rows, cols, vals), coalesce(rows, cols, vals)
+        )
+
+    def test_order_sensitive_sum(self):
+        """(0, 0) receives 1.0, 1e16, -1e16 in input order; reduced in
+        that order the run sums to 1.0, reversed it sums to 0.0."""
+        rows = np.array([1, 0, 1, 0, 0], dtype=np.int64)
+        cols = np.zeros(5, dtype=np.int64)
+        vals = np.array([5.0, 1.0, 7.0, 1e16, -1e16])
+        run = vals[rows == 0]
+        assert PLUS_MONOID.reduceat(run[::-1], np.array([0]))[0] == 0.0
+        r, c, v = coalesce(rows, cols, vals)
+        assert_same_array(np.array([0, 1]), r)
+        assert_same_array(np.array([1.0, 12.0]), v)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The library runs one vectorised implementation of each kernel.  These are
 the step-by-step forms of the same algorithms — the paper's bottom-up
-merge passes and per-digit radix scatters, a per-row Gustavson loop over
-a sparse accumulator, per-row and per-owner gathers, a global
-sort-by-cell partitioner — kept here so ``tests/ops/test_kernel_oracles.py``
-can compare the library's output against them bit for bit.
+merge passes and per-digit radix scatters, a two-key lexsort triple
+coalesce, a per-row Gustavson loop over a sparse accumulator, per-row
+and per-owner gathers, a global sort-by-cell partitioner — kept here so
+``tests/ops/test_kernel_oracles.py`` can compare the library's output
+against them bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.sparse.sort import merge_two
 __all__ = [
     "merge_sort_reference",
     "radix_sort_reference",
+    "coalesce_reference",
     "ranges_reference",
     "dcsr_extract_rows_reference",
     "group_by_owner_reference",
@@ -87,6 +89,32 @@ def radix_sort_reference(keys: np.ndarray, key_bits: int | None = None) -> np.nd
             out[offsets[b] : offsets[b] + members.size] = cur[members]
         cur, out = out, cur
     return cur.astype(keys.dtype, copy=True)
+
+
+def coalesce_reference(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    dup: Monoid = PLUS_MONOID,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triple coalesce by a two-key ``np.lexsort``: sort by ``(row, col)``
+    keeping input order among duplicates, then reduce each duplicate run
+    with ``dup.reduceat``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values)
+    if rows.size == 0:
+        return rows, cols, values
+    order = np.lexsort((cols, rows))
+    rows, cols, values = rows[order], cols[order], values[order]
+    is_first = np.empty(rows.size, dtype=bool)
+    is_first[0] = True
+    is_first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    if is_first.all():
+        return rows, cols, values
+    starts = np.flatnonzero(is_first)
+    merged = dup.reduceat(values, starts)
+    return rows[starts], cols[starts], np.asarray(merged, dtype=values.dtype)
 
 
 # ---------------------------------------------------------------------------
