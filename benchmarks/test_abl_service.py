@@ -23,7 +23,7 @@ from repro.bench.ablations import (
 )
 from repro.bench.harness import Series
 from repro.bench.schema import dump_bench
-from repro.service import multi_source_bfs
+from repro.algorithms import bfs_levels_batch
 from repro.exec import ShmBackend
 
 from _common import RESULTS_DIR, emit
@@ -115,4 +115,4 @@ def test_write_bench_json(payload, benchmark):
     b = ShmBackend()
     h = b.matrix(a)
     sources = np.arange(8, dtype=np.int64)
-    benchmark(lambda: multi_source_bfs(b, h, sources))
+    benchmark(lambda: bfs_levels_batch(h, sources, backend=b))

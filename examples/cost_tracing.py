@@ -10,8 +10,8 @@ Run: ``python examples/cost_tracing.py``
 """
 
 from repro.algebra.functional import MAX
-from repro.algorithms import bfs_levels_dist
-from repro.distributed import DistSparseMatrix
+from repro.algorithms import bfs_levels
+from repro.exec import DistBackend
 from repro.generators import erdos_renyi
 from repro.ops import ewiseadd_mm
 from repro.runtime import CostLedger, LocaleGrid, Machine, Trace
@@ -24,7 +24,7 @@ def main() -> None:
     ledger = CostLedger()
     machine = Machine(grid=grid, threads_per_locale=24, ledger=ledger)
 
-    levels = bfs_levels_dist(DistSparseMatrix.from_global(graph, grid), 0, machine)
+    levels = bfs_levels(graph, 0, backend=DistBackend(machine))
     print(
         f"BFS on {graph.nrows} vertices / 16 nodes: "
         f"{int((levels >= 0).sum())} reached, {len(ledger)} operations recorded\n"

@@ -5,15 +5,12 @@ from .bfs import (
     bfs_levels,
     bfs_levels_batch,
     bfs_levels_dispatch,
-    bfs_levels_dist,
     bfs_levels_incremental,
     bfs_parents,
-    bfs_parents_dist,
 )
 from .bfs_do import bfs_levels_do
 from .cc import (
     connected_components,
-    connected_components_dist,
     connected_components_incremental,
     num_components,
 )
@@ -24,8 +21,8 @@ from .ktruss import edge_support, ktruss
 from .lcc import average_clustering, local_clustering, triangles_per_vertex
 from .matching import is_valid_matching, maximal_matching
 from .mis import maximal_independent_set
-from .pagerank import pagerank, pagerank_dist, pagerank_incremental
-from .sssp import NegativeCycleError, sssp
+from .pagerank import pagerank, pagerank_incremental
+from .sssp import NegativeCycleError, sssp, sssp_batch
 from .triangle import count_triangles
 
 __all__ = [
@@ -34,12 +31,9 @@ __all__ = [
     "bfs_levels_batch",
     "bfs_levels_dispatch",
     "bfs_levels_incremental",
-    "bfs_parents_dist",
     "bfs_levels_do",
     "bfs_parents",
-    "bfs_levels_dist",
     "connected_components",
-    "connected_components_dist",
     "connected_components_incremental",
     "SelfLoopError",
     "greedy_coloring",
@@ -57,9 +51,9 @@ __all__ = [
     "maximal_independent_set",
     "num_components",
     "pagerank",
-    "pagerank_dist",
     "pagerank_incremental",
     "sssp",
+    "sssp_batch",
     "NegativeCycleError",
     "count_triangles",
 ]

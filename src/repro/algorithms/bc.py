@@ -15,6 +15,7 @@ import numpy as np
 
 from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
+from .validate import check_sources
 
 __all__ = ["betweenness_centrality"]
 
@@ -87,6 +88,5 @@ def betweenness_centrality(
         sources = np.arange(n, dtype=np.int64)
     else:
         sources = np.asarray(sources, dtype=np.int64)
-        if sources.size and (sources.min() < 0 or sources.max() >= n):
-            raise IndexError("source out of bounds")
+        check_sources(n, sources)
     return _betweenness_core(b, am, sources)

@@ -12,10 +12,13 @@ implement an efficient breadth-first search algorithm, which is often the
 
 Every variant is written once against the backend-agnostic
 :class:`~repro.exec.backend.Backend` protocol and runs unchanged on the
-shared-memory and the distributed backend; the ``*_dist`` names are thin
-shims kept for compatibility.  Each level's kernels are recorded under a
-``bfs[iter=k]:`` ledger prefix, so whole-run traces decompose per
-iteration exactly like the paper's Figs 8-9.
+shared-memory and the distributed backend: pass
+``backend=DistBackend(machine)`` to run on the simulated cluster.  Each
+level's kernels are recorded under a ``bfs[iter=k]:`` ledger prefix, so
+whole-run traces decompose per iteration exactly like the paper's
+Figs 8-9.  :func:`bfs_levels_batch` is the one multi-source
+(frontier-matrix) BFS; the query service batches concurrent BFS queries
+through it.
 """
 
 from __future__ import annotations
@@ -23,23 +26,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..algebra.semiring import MIN_FIRST, PLUS_PAIR
-from ..exec import Backend, DistBackend, ShmBackend
+from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
+from .validate import check_sources
 
 __all__ = [
     "bfs_levels",
     "bfs_levels_dispatch",
     "bfs_levels_incremental",
     "bfs_parents",
-    "bfs_levels_dist",
-    "bfs_parents_dist",
     "bfs_levels_batch",
 ]
-
-
-def _check_source(n: int, source: int) -> None:
-    if not 0 <= source < n:
-        raise IndexError(f"source {source} outside [0, {n})")
 
 
 def _bfs_expand(
@@ -61,7 +58,7 @@ def _bfs_expand(
 def _bfs_levels_core(b: Backend, a, source: int, *, mode: str | None = None) -> np.ndarray:
     """Level-synchronous BFS against the backend protocol."""
     n = b.shape(a)[0]
-    _check_source(n, source)
+    check_sources(n, source)
     levels = np.full(n, -1, dtype=np.int64)
     levels[source] = 0
     frontier = b.vector_from_pairs(n, [source], [float(source)])
@@ -75,7 +72,7 @@ def _bfs_levels_core(b: Backend, a, source: int, *, mode: str | None = None) -> 
 def _bfs_parents_core(b: Backend, a, source: int) -> np.ndarray:
     """Parent-pointer BFS against the backend protocol."""
     n = b.shape(a)[0]
-    _check_source(n, source)
+    check_sources(n, source)
     parents = np.full(n, -1, dtype=np.int64)
     parents[source] = source
     frontier = b.vector_from_pairs(n, [source], [float(source)])
@@ -135,7 +132,7 @@ def bfs_levels_incremental(
     b = backend or ShmBackend(machine)
     am = b.matrix(a)
     n = b.shape(am)[0]
-    _check_source(n, source)
+    check_sources(n, source)
     prev = np.asarray(prev_levels, dtype=np.int64)
     if prev.shape != (n,):
         raise ValueError(f"prev_levels shape {prev.shape} != ({n},)")
@@ -230,33 +227,6 @@ def bfs_parents(
     return _bfs_parents_core(b, b.matrix(a), source)
 
 
-def bfs_levels_dist(a, source: int, machine, *, dispatcher=None) -> np.ndarray:
-    """Distributed level-synchronous BFS over 2-D distributed ``a``.
-
-    A shim over :func:`bfs_levels`'s backend-agnostic core: per iteration,
-    one distributed SpMSpV (whose gather/multiply/scatter breakdown lands
-    in ``machine.ledger`` under a ``bfs[iter=k]:`` prefix) with the
-    replicated visited array fused as an in-kernel distributed mask.  Pass
-    a :class:`~repro.ops.dispatch.Dispatcher` to reuse its warm caches.
-    Returns the dense level array.
-    """
-    b = DistBackend(machine, dispatcher=dispatcher)
-    return _bfs_levels_core(b, b.matrix(a), source)
-
-
-def bfs_parents_dist(a, source: int, machine) -> np.ndarray:
-    """Distributed BFS spanning-tree parents.
-
-    A shim over :func:`bfs_parents`'s backend-agnostic core: the
-    frontier's values carry *global* vertex ids, so the (min, first)
-    semiring propagates the smallest parent id through the distributed
-    SpMSpV exactly as in shared memory.  Returns the dense parent array
-    (-1 = unreachable).
-    """
-    b = DistBackend(machine)
-    return _bfs_parents_core(b, b.matrix(a), source)
-
-
 def bfs_levels_batch(
     a: CSRMatrix,
     sources: np.ndarray,
@@ -267,18 +237,22 @@ def bfs_levels_batch(
     """Multi-source BFS: levels from every source at once.
 
     The frontier becomes a Boolean *matrix* (one row per source) and each
-    expansion is one SpGEMM on the (plus, pair) pattern semiring — the
-    batched shape distributed implementations and betweenness centrality
-    prefer.  Returns a ``len(sources) × n`` level array.
+    expansion is one SpGEMM on the (plus, pair) pattern semiring — one
+    kernel invocation and one communication round per level, shared by
+    every source, recorded under a ``bfs_batch[iter=k]:`` ledger prefix.
+    Returns a ``len(sources) × n`` int64 level array (-1 unreachable).
+    BFS is level-synchronous, so row ``i`` is bit-identical to
+    ``bfs_levels(a, sources[i])`` however many sources share a level.
     """
     b = backend or ShmBackend(machine)
-    sources = np.asarray(sources, dtype=np.int64)
-    n = a.nrows if isinstance(a, CSRMatrix) else b.shape(b.matrix(a))[0]
-    if sources.size and (sources.min() < 0 or sources.max() >= n):
-        raise IndexError("source out of bounds")
     am = b.matrix(a)
+    n = b.shape(am)[0]
+    sources = np.asarray(sources, dtype=np.int64)
+    check_sources(n, sources)
     ns = sources.size
     levels = np.full((ns, n), -1, dtype=np.int64)
+    if ns == 0:
+        return levels
     levels[np.arange(ns), sources] = 0
     frontier = b.matrix(
         CSRMatrix.from_triples(ns, n, np.arange(ns), sources, np.ones(ns))
@@ -289,10 +263,8 @@ def bfs_levels_batch(
         with b.iteration("bfs_batch", level):
             reached = b.mxm(frontier, am, semiring=PLUS_PAIR)
         g = b.to_csr(reached)
-        # keep only (source, vertex) pairs not yet levelled
-        rows = g.row_indices()
-        cols = g.colidx
-        fresh = levels[rows, cols] < 0
+        rows, cols = g.row_indices(), g.colidx
+        fresh = levels[rows, cols] < 0  # (source, vertex) pairs not yet levelled
         rows, cols = rows[fresh], cols[fresh]
         levels[rows, cols] = level
         frontier = b.matrix(

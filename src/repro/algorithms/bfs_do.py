@@ -22,6 +22,7 @@ import numpy as np
 from ..algebra.semiring import LOR_LAND, MIN_FIRST
 from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
+from .validate import check_sources
 
 __all__ = ["bfs_levels_do"]
 
@@ -30,8 +31,7 @@ def _bfs_levels_do_core(
     b: Backend, a, source: int, *, alpha: float, stats: dict | None
 ) -> np.ndarray:
     n = b.shape(a)[0]
-    if not 0 <= source < n:
-        raise IndexError(f"source {source} outside [0, {n})")
+    check_sources(n, source)
     levels = np.full(n, -1, dtype=np.int64)
     levels[source] = 0
     idx = np.array([source], dtype=np.int64)

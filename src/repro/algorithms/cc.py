@@ -9,8 +9,8 @@ production version; label propagation preserves its operation mix).
 
 Written once against the :class:`~repro.exec.backend.Backend` protocol:
 the distributed flavour is the same core on
-:class:`~repro.exec.dist.DistBackend`, with per-round costs recorded
-under ``cc[iter=k]:`` ledger prefixes.
+:class:`~repro.exec.dist.DistBackend` (``backend=DistBackend(machine)``),
+with per-round costs recorded under ``cc[iter=k]:`` ledger prefixes.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..algebra.semiring import MIN_SECOND
-from ..exec import Backend, DistBackend, ShmBackend
+from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
 from ..sparse.sort import sorted_unique
 
 __all__ = [
     "connected_components",
-    "connected_components_dist",
     "connected_components_incremental",
     "num_components",
 ]
@@ -138,21 +137,3 @@ def connected_components_incremental(
     iu, iv, _ = batch.upsert_triples()
     return _merge_labels(prev, prev[iu], prev[iv])
 
-
-def connected_components_dist(a, machine, max_rounds: int | None = None) -> np.ndarray:
-    """Distributed label propagation over a 2-D distributed matrix.
-
-    A shim over :func:`connected_components`'s backend-agnostic core: each
-    round is one distributed SpMV on (min, second) whose simulated cost
-    lands in the machine's ledger.  Identical labels to
-    :func:`connected_components` (asserted by the test-suite).
-
-    Parameters
-    ----------
-    a:
-        A symmetric :class:`~repro.distributed.dist_matrix.DistSparseMatrix`.
-    machine:
-        The simulated machine (grid must match ``a``).
-    """
-    b = DistBackend(machine)
-    return _cc_core(b, b.matrix(a), max_rounds)

@@ -17,6 +17,7 @@ import numpy as np
 from ..algebra.semiring import MIN_PLUS
 from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
+from .validate import check_sources
 
 __all__ = ["delta_stepping"]
 
@@ -76,8 +77,7 @@ def delta_stepping(
     """
     if a.nrows != a.ncols:
         raise ValueError("adjacency matrix must be square")
-    if not 0 <= source < a.nrows:
-        raise IndexError(f"source {source} outside [0, {a.nrows})")
+    check_sources(a.nrows, source)
     if a.nnz and a.values.min() < 0:
         raise ValueError("delta-stepping requires non-negative weights")
     if delta is None:

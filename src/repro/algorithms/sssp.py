@@ -8,17 +8,23 @@ negative cycle.  The core is backend-agnostic, so the same code relaxes
 over the distributed backend (min is associative, so results are
 bit-identical across backends); each relaxation is recorded under an
 ``sssp[iter=k]:`` ledger prefix.
+
+:func:`sssp_batch` runs the same rounds from many sources at once on a
+``len(sources) × n`` distance *matrix* — the query service batches
+concurrent SSSP queries through it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..algebra.functional import MIN
 from ..algebra.semiring import MIN_PLUS
 from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
+from .validate import check_sources
 
-__all__ = ["sssp", "NegativeCycleError"]
+__all__ = ["sssp", "sssp_batch", "NegativeCycleError"]
 
 
 class NegativeCycleError(ValueError):
@@ -31,8 +37,7 @@ def _sssp_core(
     if b.shape(a)[0] != b.shape(a)[1]:
         raise ValueError("adjacency matrix must be square")
     n = b.shape(a)[0]
-    if not 0 <= source < n:
-        raise IndexError(f"source {source} outside [0, {n})")
+    check_sources(n, source)
     dist = np.full(n, np.inf)
     dist[source] = 0.0
     for it in range(max(n - 1, 1)):
@@ -67,3 +72,60 @@ def sssp(
     return _sssp_core(
         b, b.matrix(a), source, check_negative_cycles=check_negative_cycles
     )
+
+
+def _same_state(b: Backend, d, new) -> bool:
+    """Whether two distance-state matrices store the same entries."""
+    dc, nc = b.to_csr(d), b.to_csr(new)
+    return (
+        np.array_equal(dc.rowptr, nc.rowptr)
+        and np.array_equal(dc.colidx, nc.colidx)
+        and np.array_equal(dc.values, nc.values)
+    )
+
+
+def sssp_batch(
+    a: CSRMatrix, sources: np.ndarray, *, backend: Backend | None = None
+) -> np.ndarray:
+    """Distances from every source at once: Bellman–Ford on a state matrix.
+
+    The distance state is a sparse ``len(sources) × n`` matrix on the
+    tropical semiring (absent = +inf, the sources' own zeros stored
+    explicitly); each round is ``D ← D min (D ⊗ A)`` — one ``mxm`` with
+    ``accum=MIN`` folding the previous state, recorded under an
+    ``sssp_batch[iter=k]:`` ledger prefix and run to the fixpoint or
+    ``n-1`` rounds.  Every candidate distance is one ``d[u] + w`` term
+    folded with ``min`` (order-free over floats), so row ``i`` is
+    bit-identical to ``sssp(a, sources[i])``.  Returns a dense float
+    array with ``inf`` for unreachable vertices; raises
+    :class:`NegativeCycleError` when a negative cycle is reachable from
+    any source, as :func:`sssp` does.
+    """
+    b = backend or ShmBackend()
+    am = b.matrix(a)
+    if b.shape(am)[0] != b.shape(am)[1]:
+        raise ValueError("adjacency matrix must be square")
+    n = b.shape(am)[0]
+    sources = np.asarray(sources, dtype=np.int64)
+    check_sources(n, sources)
+    ns = sources.size
+    if ns == 0:
+        return np.full((0, n), np.inf)
+    d = b.matrix(
+        CSRMatrix.from_triples(ns, n, np.arange(ns), sources, np.zeros(ns))
+    )
+    for it in range(max(n - 1, 1)):
+        with b.iteration("sssp_batch", it):
+            new = b.mxm(d, am, semiring=MIN_PLUS, accum=MIN, out=d)
+        converged = _same_state(b, d, new)
+        d = new
+        if converged:
+            break
+    else:
+        new = b.mxm(d, am, semiring=MIN_PLUS, accum=MIN, out=d)
+        if not _same_state(b, d, new):
+            raise NegativeCycleError("negative cycle reachable from a source")
+    dc = b.to_csr(d)
+    out = np.full((ns, n), np.inf)
+    out[dc.row_indices(), dc.colidx] = dc.values
+    return out

@@ -700,14 +700,13 @@ def service_batching_sweep(a: CSRMatrix | None = None) -> dict:
     approximation.
     """
     from ..algorithms import sssp
-    from ..service import multi_source_bfs, multi_source_sssp
+    from ..service import run_batch
 
     a = service_workload() if a is None else a
     singles = {
         "bfs": lambda b, g, s: bfs_levels(g, s, backend=b),
         "sssp": lambda b, g, s: sssp(g, s, check_negative_cycles=False, backend=b),
     }
-    batched_cores = {"bfs": multi_source_bfs, "sssp": multi_source_sssp}
     out: dict[str, dict] = {}
     for algo in ("bfs", "sssp"):
         for ns in SERVICE_SOURCE_SWEEP:
@@ -717,7 +716,7 @@ def service_batching_sweep(a: CSRMatrix | None = None) -> dict:
             sources = np.arange(ns, dtype=np.int64)
             t0 = ledger.total
             rows, wall_b = _timed(
-                lambda: batched_cores[algo](backend, handle, sources)
+                lambda: run_batch(backend, handle, algo, sources)
             )
             batched_s = ledger.total - t0
             t0 = ledger.total

@@ -2,8 +2,9 @@
 
 ROADMAP item 3 made concrete: a deterministic virtual-clock scheduler
 admits concurrent traversal queries from simulated tenants, coalesces
-compatible BFS/SSSP queries into batched multi-source runs (one ``mxm``
-over a frontier *matrix* — the GraphBLAS idiom for concurrent queries),
+compatible BFS/SSSP queries into batched multi-source runs (the
+algorithm layer's ``bfs_levels_batch``/``sssp_batch``: one ``mxm`` over
+a frontier *matrix* — the GraphBLAS idiom for concurrent queries),
 serves hot results from an epoch-invalidated cache wired to the
 streaming engine, and enforces per-tenant token-bucket quotas with
 queue-depth backpressure.  See ``docs/service.md``.
@@ -17,13 +18,7 @@ from .quota import (
     ServiceRejection,
     TokenBucket,
 )
-from .queries import (
-    ALGOS,
-    QuerySpec,
-    multi_source_bfs,
-    multi_source_sssp,
-    run_batch,
-)
+from .queries import ALGOS, QuerySpec, run_batch
 from .sched import Scheduler, VirtualClock
 from .service import GraphQueryService, Request
 
@@ -40,7 +35,5 @@ __all__ = [
     "ServiceRejection",
     "TokenBucket",
     "VirtualClock",
-    "multi_source_bfs",
-    "multi_source_sssp",
     "run_batch",
 ]

@@ -1,4 +1,4 @@
-"""Query specs and the batched multi-source traversal cores.
+"""Query specs and the batch table of the query service.
 
 The GraphBLAS idiom for concurrent traversals: N simultaneous BFS (or
 SSSP) queries over the same graph are one matrix problem.  The N
@@ -9,19 +9,12 @@ query — instead of N independent vector sweeps each paying its own
 per-level latencies.  On completion each query's answer is row ``i`` of
 the state matrix.
 
-Both cores are written against the backend protocol only (the same
-layering contract as :mod:`repro.algorithms`) and are *bit-identical*
-per source to the sequential single-source algorithms:
-
-* multi-source BFS is level-synchronous — a vertex's level is the first
-  expansion round that reaches it, regardless of how many sources share
-  the round, so row ``i`` equals ``bfs_levels(a, sources[i])`` exactly;
-* multi-source SSSP runs Bellman–Ford rounds ``D ← D min (D ⊗ A)`` on
-  the tropical semiring; every candidate distance is one ``d[u] + w``
-  term folded with ``min`` (order-free over floats), so row ``i``
-  equals ``sssp(a, sources[i])`` bit-for-bit.
-
-The service's differential suite (``tests/service/``) pins both claims
+The cores are the algorithm layer's own multi-source traversals —
+:func:`~repro.algorithms.bfs_levels_batch` and
+:func:`~repro.algorithms.sssp_batch`, written once against the backend
+protocol and bit-identical per source to the single-source algorithms.
+This module only names which of them a query's ``algo`` runs.  The
+service's differential suite (``tests/service/``) pins the equivalence
 on both backends, across locale grids and covered fault plans.
 """
 
@@ -31,14 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algebra.functional import MIN
-from ..algebra.semiring import MIN_PLUS, PLUS_PAIR
-from ..sparse.csr import CSRMatrix
+from ..algorithms import bfs_levels_batch, sssp_batch
 
-__all__ = ["ALGOS", "QuerySpec", "multi_source_bfs", "multi_source_sssp", "run_batch"]
+__all__ = ["ALGOS", "QuerySpec", "run_batch"]
 
-#: batchable algorithms (the traversal family with a frontier-matrix form)
-ALGOS = ("bfs", "sssp")
+#: batchable algorithm → its multi-source core (the traversal family
+#: with a frontier-matrix form)
+ALGOS = {"bfs": bfs_levels_batch, "sssp": sssp_batch}
 
 
 @dataclass(frozen=True)
@@ -56,7 +48,9 @@ class QuerySpec:
 
     def __post_init__(self) -> None:
         if self.algo not in ALGOS:
-            raise ValueError(f"unknown algo {self.algo!r} (expected one of {ALGOS})")
+            raise ValueError(
+                f"unknown algo {self.algo!r} (expected one of {tuple(ALGOS)})"
+            )
         if self.source < 0:
             raise IndexError(f"source {self.source} must be non-negative")
 
@@ -71,88 +65,6 @@ class QuerySpec:
         return (self.source,)
 
 
-def _check_sources(n: int, sources: np.ndarray) -> None:
-    if sources.size and (sources.min() < 0 or sources.max() >= n):
-        raise IndexError(f"source outside [0, {n})")
-
-
-def multi_source_bfs(b, a, sources: np.ndarray) -> np.ndarray:
-    """Levels from every source at once: one ``mxm`` per level.
-
-    Returns a ``len(sources) × n`` int64 level array (-1 unreachable);
-    row ``i`` is bit-identical to single-source BFS from ``sources[i]``.
-    """
-    n = b.shape(a)[0]
-    sources = np.asarray(sources, dtype=np.int64)
-    _check_sources(n, sources)
-    ns = sources.size
-    levels = np.full((ns, n), -1, dtype=np.int64)
-    if ns == 0:
-        return levels
-    levels[np.arange(ns), sources] = 0
-    frontier = b.matrix(
-        CSRMatrix.from_triples(ns, n, np.arange(ns), sources, np.ones(ns))
-    )
-    level = 0
-    while b.matrix_nnz(frontier):
-        level += 1
-        with b.iteration("svc_bfs", level):
-            reached = b.mxm(frontier, a, semiring=PLUS_PAIR)
-        g = b.to_csr(reached)
-        rows, cols = g.row_indices(), g.colidx
-        fresh = levels[rows, cols] < 0  # (source, vertex) pairs not yet levelled
-        rows, cols = rows[fresh], cols[fresh]
-        levels[rows, cols] = level
-        frontier = b.matrix(
-            CSRMatrix.from_triples(ns, n, rows, cols, np.ones(rows.size))
-        )
-    return levels
-
-
-def multi_source_sssp(b, a, sources: np.ndarray) -> np.ndarray:
-    """Distances from every source at once: Bellman–Ford on a state matrix.
-
-    The distance state is a sparse ``len(sources) × n`` matrix on the
-    tropical semiring (absent = +inf, the sources' own zeros stored
-    explicitly); each round is ``D ← D min (D ⊗ A)`` — one ``mxm`` with
-    ``accum=MIN`` folding the previous state, run to the fixpoint or
-    ``n-1`` rounds.  Returns a dense float array with ``inf`` for
-    unreachable vertices; row ``i`` is bit-identical to single-source
-    Bellman–Ford from ``sources[i]``.
-    """
-    if b.shape(a)[0] != b.shape(a)[1]:
-        raise ValueError("adjacency matrix must be square")
-    n = b.shape(a)[0]
-    sources = np.asarray(sources, dtype=np.int64)
-    _check_sources(n, sources)
-    ns = sources.size
-    if ns == 0:
-        return np.full((0, n), np.inf)
-    d = b.matrix(
-        CSRMatrix.from_triples(ns, n, np.arange(ns), sources, np.zeros(ns))
-    )
-    for it in range(max(n - 1, 1)):
-        with b.iteration("svc_sssp", it):
-            new = b.mxm(d, a, semiring=MIN_PLUS, accum=MIN, out=d)
-        dc, nc = b.to_csr(d), b.to_csr(new)
-        converged = (
-            np.array_equal(dc.rowptr, nc.rowptr)
-            and np.array_equal(dc.colidx, nc.colidx)
-            and np.array_equal(dc.values, nc.values)
-        )
-        d = new
-        if converged:
-            break
-    dc = b.to_csr(d)
-    out = np.full((ns, n), np.inf)
-    out[dc.row_indices(), dc.colidx] = dc.values
-    return out
-
-
-#: batch key → multi-source core
-_CORES = {"bfs": multi_source_bfs, "sssp": multi_source_sssp}
-
-
 def run_batch(b, a, algo: str, sources: np.ndarray) -> np.ndarray:
     """One coalesced multi-source run; row ``i`` answers ``sources[i]``."""
-    return _CORES[algo](b, a, sources)
+    return ALGOS[algo](a, sources, backend=b)

@@ -1,9 +1,10 @@
 """The multi-tenant graph query service over the backend protocol.
 
 Layering (enforced by ``tests/test_layering.py``): the service talks to
-the execution frontend (:mod:`repro.exec`), the streaming engine
-(:mod:`repro.streaming`), and the observability layer — never to
-kernels or the runtime machinery.  It composes four pieces:
+the algorithms (:mod:`repro.algorithms`), the execution frontend
+(:mod:`repro.exec`), the streaming engine (:mod:`repro.streaming`), and
+the observability layer — never to kernels or the runtime machinery.
+It composes four pieces:
 
 * a deterministic virtual-clock :class:`~repro.service.sched.Scheduler`
   admitting requests from simulated tenants (seeded tie-breaking, so
@@ -11,7 +12,9 @@ kernels or the runtime machinery.  It composes four pieces:
 * a batching planner: compatible queries (same ``batch_key``, i.e. the
   same traversal family against the same graph) arriving within one
   admission ``window`` coalesce into a single multi-source run
-  (:mod:`repro.service.queries`) — the GraphBLAS frontier-matrix idiom;
+  (:mod:`repro.service.queries` names the algorithm layer's
+  multi-source core per query family) — the GraphBLAS frontier-matrix
+  idiom;
 * a :class:`~repro.service.cache.ResultCache` keyed on
   ``(algo, args, storage identity, mutation epoch)``, so streaming
   updates applied through :class:`~repro.streaming.GraphStream`
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..algorithms.validate import check_sources
 from ..exec.backend import IterationScope
 from ..runtime.telemetry import registry as _metrics
 from ..streaming import GraphStream
@@ -157,9 +161,7 @@ class GraphQueryService:
         submission is how the simulated workload is *described*, the
         scheduler decides the interleaving.
         """
-        n = self.backend.shape(self.handle)[0]
-        if not 0 <= query.source < n:
-            raise IndexError(f"source {query.source} outside [0, {n})")
+        check_sources(self.backend.shape(self.handle)[0], query.source)
         arrival = self.scheduler.now if at is None else at
         req = Request(
             id=len(self.requests) + 1, tenant=tenant, query=query, arrival=arrival

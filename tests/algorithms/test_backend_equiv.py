@@ -9,8 +9,8 @@ retries must change only the cost ledger, never the numerics).
 
 Floating-point caveat: distributed PageRank reduces dense partials
 blockwise, so its summation order differs from shared memory; it is
-compared with the same ``atol=1e-9`` tolerance the pre-refactor
-``pagerank_dist`` tests used.  Everything else — levels, labels, colours,
+compared with the same ``atol=1e-9`` tolerance the distributed
+PageRank tests in ``test_pagerank.py`` use.  Everything else — levels, labels, colours,
 corenesses, matchings, truss structure, distances on (min, +) — is
 order-independent and compared bit-for-bit.
 """

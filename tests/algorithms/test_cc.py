@@ -80,29 +80,29 @@ class TestConnectedComponents:
 class TestConnectedComponentsDistributed:
     @pytest.mark.parametrize("p", [1, 4, 9])
     def test_matches_local(self, p):
-        from repro.algorithms import connected_components_dist
         from repro.distributed import DistSparseMatrix
+        from repro.exec import DistBackend
         from repro.runtime import LocaleGrid, Machine
 
         a = sym_er(100, 1.5, seed=6)
         ref = connected_components(a)
         grid = LocaleGrid.for_count(p)
-        got = connected_components_dist(
+        got = connected_components(
             DistSparseMatrix.from_global(a, grid),
-            Machine(grid=grid, threads_per_locale=4),
+            backend=DistBackend(Machine(grid=grid, threads_per_locale=4)),
         )
         assert np.array_equal(ref, got)
 
     def test_ledger_records_rounds(self):
-        from repro.algorithms import connected_components_dist
         from repro.distributed import DistSparseMatrix
+        from repro.exec import DistBackend
         from repro.runtime import CostLedger, LocaleGrid, Machine
 
         a = sym_er(80, 2, seed=7)
         led = CostLedger()
         grid = LocaleGrid.for_count(4)
-        connected_components_dist(
+        connected_components(
             DistSparseMatrix.from_global(a, grid),
-            Machine(grid=grid, threads_per_locale=2, ledger=led),
+            backend=DistBackend(Machine(grid=grid, threads_per_locale=2, ledger=led)),
         )
         assert len(led) >= 2

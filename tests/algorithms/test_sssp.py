@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.algorithms import NegativeCycleError, sssp
+from repro.algorithms import NegativeCycleError, sssp, sssp_batch
 from repro.generators import erdos_renyi
 from repro.sparse import CSRMatrix
 
@@ -81,3 +81,31 @@ class TestSSSP:
         d[2, 1] = 2.0
         dist = sssp(CSRMatrix.from_dense(d), 0, check_negative_cycles=False)
         assert dist[0] == 0.0
+
+
+class TestSsspBatch:
+    def test_negative_cycle_raises(self):
+        """Budget exhausted without a fixpoint: one more round decides,
+        exactly as in single-source ``sssp``."""
+        a = CSRMatrix.from_triples(3, 3, [0, 1, 2], [1, 2, 1], [1.0, -3.0, 1.0])
+        with pytest.raises(NegativeCycleError):
+            sssp(a, 0)
+        with pytest.raises(NegativeCycleError):
+            sssp_batch(a, np.array([0]))
+
+    def test_cycle_unreachable_from_every_source_is_fine(self):
+        a = CSRMatrix.from_triples(4, 4, [1, 2, 3], [2, 1, 0], [-3.0, 1.0, 2.0])
+        rows = sssp_batch(a, np.array([0, 3]))
+        assert np.array_equal(rows[0], sssp(a, 0))
+        assert np.array_equal(rows[1], sssp(a, 3))
+
+    def test_longest_path_converges_on_last_round(self):
+        """A path graph needs all n-1 rounds; the extra round finds no
+        improvement, so no false negative cycle."""
+        n = 6
+        a = CSRMatrix.from_triples(
+            n, n, np.arange(n - 1), np.arange(1, n), np.full(n - 1, -1.0)
+        )
+        rows = sssp_batch(a, np.array([0, 2]))
+        assert np.array_equal(rows[0], sssp(a, 0))
+        assert np.array_equal(rows[1], sssp(a, 2))

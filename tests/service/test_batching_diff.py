@@ -15,17 +15,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms import bfs_levels, sssp
+from repro.algorithms import (
+    NegativeCycleError,
+    bfs_levels,
+    bfs_levels_batch,
+    sssp,
+    sssp_batch,
+)
 from repro.exec import DistBackend, ShmBackend
 from repro.generators import erdos_renyi
 from repro.runtime import CostLedger, FaultInjector, LocaleGrid, Machine
 from repro.runtime.telemetry.registry import MetricsRegistry
-from repro.service import (
-    GraphQueryService,
-    QuerySpec,
-    multi_source_bfs,
-    multi_source_sssp,
-)
+from repro.service import GraphQueryService, QuerySpec
 from repro.sparse.csr import CSRMatrix
 from tests.strategies import PROFILE_FAST, PROFILE_SLOW, covered_setups
 
@@ -77,8 +78,8 @@ class TestMultiSourceCores:
     def test_shm_rows_equal_sequential(self, wl, algo):
         a, _, sources = wl
         b = ShmBackend()
-        core = multi_source_bfs if algo == "bfs" else multi_source_sssp
-        rows = core(b, b.matrix(a), np.asarray(sources))
+        core = bfs_levels_batch if algo == "bfs" else sssp_batch
+        rows = core(b.matrix(a), np.asarray(sources), backend=b)
         for i, s in enumerate(sources):
             np.testing.assert_array_equal(rows[i], reference(algo, a, s))
 
@@ -87,8 +88,8 @@ class TestMultiSourceCores:
     def test_dist_rows_equal_sequential(self, wl, algo):
         a, grid, sources = wl
         b = dist_backend(grid)
-        core = multi_source_bfs if algo == "bfs" else multi_source_sssp
-        rows = core(b, b.matrix(a), np.asarray(sources))
+        core = bfs_levels_batch if algo == "bfs" else sssp_batch
+        rows = core(b.matrix(a), np.asarray(sources), backend=b)
         for i, s in enumerate(sources):
             np.testing.assert_array_equal(rows[i], reference(algo, a, s))
 
@@ -100,37 +101,38 @@ class TestMultiSourceCores:
         a, grid, sources = wl
         plan, policy = setup
         b = dist_backend(grid, faults=FaultInjector(plan, policy))
-        core = multi_source_bfs if algo == "bfs" else multi_source_sssp
-        rows = core(b, b.matrix(a), np.asarray(sources))
+        core = bfs_levels_batch if algo == "bfs" else sssp_batch
+        rows = core(b.matrix(a), np.asarray(sources), backend=b)
         for i, s in enumerate(sources):
             np.testing.assert_array_equal(rows[i], reference(algo, a, s))
 
     def test_duplicate_sources_get_identical_rows(self):
         a = weighted(erdos_renyi(24, 3, seed=9), seed=10)
         b = ShmBackend()
-        rows = multi_source_bfs(b, b.matrix(a), np.array([5, 5, 5]))
+        rows = bfs_levels_batch(b.matrix(a), np.array([5, 5, 5]), backend=b)
         np.testing.assert_array_equal(rows[0], rows[1])
         np.testing.assert_array_equal(rows[0], rows[2])
 
     def test_empty_source_list(self):
         a = erdos_renyi(8, 2, seed=1)
         b = ShmBackend()
-        assert multi_source_bfs(b, b.matrix(a), np.array([], dtype=np.int64)).shape == (0, 8)
-        assert multi_source_sssp(b, b.matrix(a), np.array([], dtype=np.int64)).shape == (0, 8)
+        empty = np.array([], dtype=np.int64)
+        assert bfs_levels_batch(b.matrix(a), empty, backend=b).shape == (0, 8)
+        assert sssp_batch(b.matrix(a), empty, backend=b).shape == (0, 8)
 
     def test_out_of_range_source_raises(self):
         a = erdos_renyi(8, 2, seed=1)
         b = ShmBackend()
         with pytest.raises(IndexError):
-            multi_source_bfs(b, b.matrix(a), np.array([8]))
+            bfs_levels_batch(b.matrix(a), np.array([8]), backend=b)
         with pytest.raises(IndexError):
-            multi_source_sssp(b, b.matrix(a), np.array([-1]))
+            sssp_batch(b.matrix(a), np.array([-1]), backend=b)
 
     def test_sssp_requires_square(self):
         b = ShmBackend()
         rect = CSRMatrix.from_triples(2, 3, [0], [1], [1.0])
         with pytest.raises(ValueError):
-            multi_source_sssp(b, b.matrix(rect), np.array([0]))
+            sssp_batch(b.matrix(rect), np.array([0]), backend=b)
 
 
 class TestServiceBatching:
@@ -189,6 +191,16 @@ class TestServiceBatching:
         svc.run()
         assert rb.batch_size == 1 and rs.batch_size == 1
         assert svc.stats.batches == 2
+
+    def test_negative_cycle_raises_out_of_run(self):
+        """A negative cycle is an error, not a ``done`` query with wrong
+        distances: it propagates out of ``run()`` as from ``sssp``."""
+        a = CSRMatrix.from_triples(3, 3, [0, 1, 2], [1, 2, 1], [1.0, -3.0, 1.0])
+        svc = GraphQueryService(ShmBackend(), a, registry=MetricsRegistry())
+        req = svc.submit("t", QuerySpec("sssp", 0), at=0.0)
+        with pytest.raises(NegativeCycleError):
+            svc.run()
+        assert req.status != "done"
 
     def test_arrivals_outside_window_run_separately(self):
         a = weighted(erdos_renyi(32, 3, seed=4), seed=5)

@@ -7,15 +7,19 @@ kernels (:mod:`repro.ops`) or the simulated runtime
 algorithms to one backend, so this AST lint fails the build on any such
 import — with **no allowlist**: every algorithm module must comply.
 
-The query service (:mod:`repro.service`, PR 10) sits *above* the
-algorithms and gets the stricter whitelist treatment: it may import only
+Every algorithm takes ``backend=``, so no algorithm module may import
+:class:`~repro.exec.DistBackend`: there is no per-backend wrapper
+around an algorithm.
+
+The query service (:mod:`repro.service`) sits *above* the algorithms
+and gets the stricter whitelist treatment: it may import only the
+algorithms (whose multi-source cores it batches queries through — safe,
+because the algorithms are themselves linted off ``ops``/``runtime``),
 the execution frontend, the streaming engine, the observability layer
 (``runtime.telemetry``), the mutation-epoch primitive (``runtime.epoch``
-— what its result cache keys on), and — like the algorithm layer — the
-pure math of :mod:`repro.algebra` / :mod:`repro.sparse` it needs to
-build frontier matrices.  Anything else (kernels, the machine model, the
-algorithms package itself) is a layering break: the service must express
-traversals through the backend protocol, not by calling into siblings.
+— what its result cache keys on), and the pure math of
+:mod:`repro.algebra` / :mod:`repro.sparse`.  Anything else (kernels,
+the machine model, the distributed storage) is a layering break.
 """
 
 from __future__ import annotations
@@ -113,6 +117,29 @@ def test_lint_allows_frontend_and_algebra():
         assert _forbidden_target(node, ("repro", "algorithms", "x")) is None
 
 
+def _dist_backend_imports(source: str) -> list[int]:
+    """Line numbers of the imports in ``source`` that bind ``DistBackend``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(alias.name.split(".")[-1] == "DistBackend" for alias in node.names)
+    ]
+
+
+@pytest.mark.parametrize("path", ALGO_MODULES, ids=lambda p: p.stem)
+def test_algorithms_do_not_import_dist_backend(path: Path):
+    """Algorithms take ``backend=``; none builds a DistBackend itself."""
+    lines = _dist_backend_imports(path.read_text())
+    assert not lines, f"{path.name} imports DistBackend at lines {lines}"
+
+
+def test_dist_backend_lint_catches_import():
+    assert _dist_backend_imports("from ..exec import Backend, DistBackend\n") == [1]
+    assert _dist_backend_imports("from ..exec.dist import DistBackend\n") == [1]
+    assert _dist_backend_imports("from ..exec import Backend, ShmBackend\n") == []
+
+
 # ---------------------------------------------------------------------------
 # service layer: whitelist lint
 # ---------------------------------------------------------------------------
@@ -121,6 +148,7 @@ SERVICE_DIR = Path(__file__).resolve().parent.parent / "src" / "repro" / "servic
 
 #: the only repro.* import roots a service module may use
 SERVICE_ALLOWED = (
+    "repro.algorithms",
     "repro.exec",
     "repro.streaming",
     "repro.service",
@@ -186,8 +214,8 @@ def test_service_modules_exist():
 
 @pytest.mark.parametrize("path", SERVICE_MODULES, ids=lambda p: p.stem)
 def test_service_imports_only_whitelisted_layers(path: Path):
-    """service/*.py may import only exec, streaming, algebra, sparse,
-    runtime.telemetry, and runtime.epoch."""
+    """service/*.py may import only algorithms, exec, streaming, algebra,
+    sparse, runtime.telemetry, and runtime.epoch."""
     bad = _service_file_violations(path)
     assert not bad, (
         "service modules are whitelisted to "
@@ -204,10 +232,10 @@ def test_service_lint_catches_runtime_machine_import():
     ]
 
 
-def test_service_lint_catches_algorithms_import():
-    node = ast.parse("from ..algorithms import bfs_levels\n").body[0]
+def test_service_lint_catches_sibling_import():
+    node = ast.parse("from ..distributed import DistSparseMatrix\n").body[0]
     assert _service_violations_in(node, ("repro", "service", "x")) == [
-        "repro.algorithms.bfs_levels"
+        "repro.distributed.DistSparseMatrix"
     ]
 
 
@@ -220,6 +248,7 @@ def test_service_lint_catches_ops_import():
 
 def test_service_lint_allows_whitelisted_spellings():
     for src in (
+        "from ..algorithms import bfs_levels_batch\n",
         "from ..exec.backend import IterationScope\n",
         "from ..streaming import GraphStream\n",
         "from ..runtime.telemetry import registry\n",
