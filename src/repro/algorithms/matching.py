@@ -25,7 +25,7 @@ import numpy as np
 from ..algebra.semiring import MIN_SECOND
 from ..exec import Backend, ShmBackend
 from ..sparse.csr import CSRMatrix
-from ..sparse.sort import sorted_unique
+from ..sparse.sort import sorted_unique, stable_argsort_bounded
 
 __all__ = ["maximal_matching", "is_valid_matching"]
 
@@ -51,7 +51,7 @@ def _maximal_matching_core(b: Backend, a) -> tuple[np.ndarray, np.ndarray]:
         # step 2: each column accepts its smallest proposer (proposals are
         # generated in ascending row order, so the first proposal per
         # column wins under a stable first-touch)
-        order = np.argsort(prop_cols, kind="stable")
+        order = stable_argsort_bounded(prop_cols, ncols)
         pc = prop_cols[order]
         pr = prop_rows[order]
         accept_first = np.empty(pc.size, dtype=bool)

@@ -532,12 +532,10 @@ def spmspv_dist(
         # boundary, and each segment folds left-to-right with the same
         # monoid in the same dtype).
         midx, mvals, cutpos = merge_superstep_batches(
-            a.ncols,
             out_dist.bounds,
             sent_idx,
             sent_vals,
             combine=semiring.add.reduceat_dense,
-            argsort=stable_argsort_bounded,
         )
     for k in range(grid.size):
         cap = out_dist.size_of(k)

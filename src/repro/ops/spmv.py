@@ -22,6 +22,7 @@ from ..runtime.comm import allgather, bulk
 from ..runtime.locale import Machine
 from ..runtime.tasks import coforall_spawn, makespan, parallel_time
 from ..sparse.csr import CSRMatrix
+from ..sparse.sort import stable_argsort_bounded
 from ..sparse.vector import DenseVector, SparseVector
 from ..algebra.semiring import PLUS_TIMES, Semiring
 
@@ -70,7 +71,7 @@ def vxm_dense(
         raise ValueError(f"x has {xv.size} entries for {a.nrows} rows")
     products = np.asarray(semiring.mult(xv[a.row_indices()], a.values))
     # order products by column (stable: rows ascending within a column)
-    order = np.argsort(a.colidx, kind="stable")
+    order = stable_argsort_bounded(a.colidx, a.ncols)
     colptr = np.zeros(a.ncols + 1, dtype=np.int64)
     np.cumsum(np.bincount(a.colidx, minlength=a.ncols), out=colptr[1:])
     out = np.asarray(semiring.add.reduceat(products[order], colptr[:-1]))

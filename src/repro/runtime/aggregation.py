@@ -162,13 +162,11 @@ def group_by_owner(
 
 
 def merge_superstep_batches(
-    capacity: int,
     bounds: np.ndarray,
     idx_batches: list[np.ndarray],
     val_batches: list[np.ndarray],
     *,
     combine,
-    argsort=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-superstep scatter/gather seam: merge per-source batches of
     globally-indexed ``(index, value)`` pairs into owner blocks with one
@@ -182,10 +180,9 @@ def merge_superstep_batches(
     output is a pure function of the batch sequence.
 
     ``combine(values, starts)`` folds duplicate-index segments (the
-    monoid's ``reduceat``); ``argsort(keys, bound)`` supplies the stable
-    permutation (the kernels pass ``sparse.sort.stable_argsort_bounded``,
-    which this layer must not import — the sparse layer sits above the
-    runtime).  Returns ``(merged_idx, merged_vals, cutpos)`` where
+    monoid's ``reduceat``).  The concatenated indices are per-source sorted
+    runs, which timsort merges faster than a radix sort re-sorts them.
+    Returns ``(merged_idx, merged_vals, cutpos)`` where
     ``cutpos = searchsorted(merged_idx, bounds)`` marks each owner's slice.
     """
     bounds = np.asarray(bounds, dtype=np.int64)
@@ -197,10 +194,7 @@ def merge_superstep_batches(
         )
     midx = np.concatenate(idx_batches)
     mvals = np.concatenate(val_batches)
-    if argsort is None:
-        order = np.argsort(midx, kind="stable")
-    else:
-        order = argsort(midx, capacity)
+    order = np.argsort(midx, kind="stable")
     midx, mvals = midx[order], mvals[order]
     is_first = np.empty(midx.size, dtype=bool)
     is_first[0] = True

@@ -59,7 +59,10 @@ def coalesce(
     if is_first.all():
         return rows, cols, values
     starts = np.flatnonzero(is_first)
-    merged = dup.reduceat(values, starts)
+    # segments are dense by construction (each start is a distinct
+    # coordinate's first entry), so no identity fill is needed — which
+    # also lets a bare associative op (``Monoid(op, None)``) fold them
+    merged = dup.reduceat_dense(values, starts)
     return rows[starts], cols[starts], np.asarray(merged, dtype=values.dtype)
 
 

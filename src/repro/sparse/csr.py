@@ -19,6 +19,7 @@ import numpy as np
 from ..algebra.functional import IndexUnaryOp, UnaryOp
 from ..algebra.monoid import Monoid, PLUS_MONOID
 from .coo import COOMatrix, coalesce
+from .sort import stable_argsort_bounded
 
 __all__ = ["CSRMatrix"]
 
@@ -189,7 +190,7 @@ class CSRMatrix:
     # -- structural transforms ---------------------------------------------------
 
     def transposed(self) -> "CSRMatrix":
-        """Transpose via a stable sort of nonzeros by column index.
+        """Transpose via a stable (radix) sort of nonzeros by column index.
 
         Equivalent to a CSR→CSC conversion reinterpreted as CSR of Aᵀ;
         stability keeps each output row's columns sorted because input
@@ -201,7 +202,7 @@ class CSRMatrix:
         # stable ordering: sort nonzeros by (col, row); a stable argsort of the
         # already row-sorted colidx gives positions grouped by column with
         # rows ascending inside each group.
-        order = np.argsort(self.colidx, kind="stable")
+        order = stable_argsort_bounded(self.colidx, self.ncols)
         t_colidx = self.row_indices()[order]
         t_values = self.values[order]
         return CSRMatrix(self.ncols, self.nrows, t_rowptr, t_colidx, t_values)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..algebra.monoid import Monoid, PLUS_MONOID
 from ..algebra.semiring import Semiring
-from .sort import sorted_unique
+from .sort import sorted_unique, stable_argsort_bounded
 from .vector import SparseVector
 
 __all__ = ["SPA"]
@@ -92,7 +92,7 @@ class SPA:
             batch = values
             slots = indices
         else:
-            order = np.argsort(inverse, kind="stable")
+            order = stable_argsort_bounded(inverse, uniq.size)
             sorted_vals = values[order]
             starts = np.searchsorted(inverse[order], np.arange(uniq.size))
             batch = np.asarray(monoid.reduceat(sorted_vals, starts))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.algebra.functional import PLUS
+from repro.algebra.functional import MIN, PLUS
 from repro.algebra.semiring import MIN_PLUS, PLUS_PAIR
 from repro.exec import (
     Backend,
@@ -25,6 +25,7 @@ from repro.exec import (
     merge_vector,
 )
 from repro.runtime import CostLedger, LocaleGrid, Machine
+from repro.sparse.csr import CSRMatrix
 
 N = 60
 
@@ -216,6 +217,26 @@ class TestMxm:
         both = (prod != 0) & (ad != 0)
         want = np.where(both, prod + ad, np.where(prod != 0, prod, ad))
         assert np.allclose(backend.to_csr(c).to_dense(), want)
+
+    @pytest.mark.parametrize("accum", [PLUS, MIN], ids=["plus", "min"])
+    def test_mxm_accum_out_int64(self, backend, accum):
+        """An associative BinaryOp accumulates int64 values where the
+        output and product patterns overlap (it used to fold the overlap
+        through a monoid with a ``None`` identity and raise TypeError)."""
+        g = graph(seed=29, deg=3)
+        vals = np.random.default_rng(5).integers(1, 6, size=g.nnz)
+        a = CSRMatrix(N, N, g.rowptr, g.colidx, vals.astype(np.int64))
+        ah = backend.matrix(a)
+        got = backend.to_csr(backend.mxm(ah, ah, accum=accum, out=ah))
+        ad = a.to_dense()
+        prod = ad @ ad
+        both = (prod != 0) & (ad != 0)
+        assert both.any(), "the case needs overlapping patterns"
+        want = np.where(
+            both, accum(ad, prod), np.where(prod != 0, prod, ad)
+        )
+        assert got.values.dtype == np.int64
+        assert np.array_equal(got.to_dense(), want)
 
 
 class TestIterationScope:

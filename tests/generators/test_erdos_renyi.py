@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.generators import erdos_renyi, erdos_renyi_triples
+from repro.sparse.csr import CSRMatrix
 
 
 class TestErdosRenyi:
@@ -64,3 +65,29 @@ class TestErdosRenyi:
         # no duplicate coordinates
         keys = rows * 60 + cols
         assert np.unique(keys).size == keys.size
+
+    @pytest.mark.parametrize(
+        "n, d, seed, values",
+        [
+            (60, 4, 10, "uniform"),
+            (500, 3, 2, "one"),
+            (24, 24, 1, "uniform"),  # p = 1: every cell
+            (12, 0, 3, "uniform"),  # no edges
+            (1, 1, 0, "uniform"),
+            (1, 0.5, 2, "one"),
+            (3000, 0.5, 5, "uniform"),  # mostly empty rows
+        ],
+    )
+    def test_placed_csr_equals_sorted_triples(self, n, d, seed, values):
+        """``erdos_renyi`` places its sampled cells instead of sorting the
+        shuffled triples; the CSR must be the one ``from_triples`` builds
+        from those triples, dtypes included."""
+        want = CSRMatrix.from_triples(
+            n, n, *erdos_renyi_triples(n, d, seed=seed, values=values)
+        )
+        got = erdos_renyi(n, d, seed=seed, values=values)
+        assert got.shape == want.shape
+        for name in ("rowptr", "colidx", "values"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype, name
+            assert np.array_equal(g, w), name

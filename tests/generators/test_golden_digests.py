@@ -9,8 +9,10 @@ oversample-only and top-up paths of ``sample_distinct`` and
 and R-MAT's duplicate merging under both value modes.
 
 The digests were recorded before the sort-based dedup replaced
-``np.unique``; a change to any of them is a change to every experiment's
-input and needs a deliberate re-recording.
+``np.unique``, the ``er_1_*``, ``er_24_*``, ``er_2048_*`` and
+``er_triples_*`` ones before ``erdos_renyi`` placed its CSR instead of
+sorting its triples; a change to any of them is a change to every
+experiment's input and needs a deliberate re-recording.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.generators import erdos_renyi, random_sparse_vector, rmat
+from repro.generators.erdos_renyi import erdos_renyi_triples
 
 
 def digest(shape: tuple[int, ...], *arrays: np.ndarray) -> str:
@@ -50,6 +53,36 @@ CASES = {
     "er_64_d16_s3_one": (
         lambda: csr_digest(erdos_renyi(64, 16, seed=3, values="one")),
         "25133463e45f1b8a073348bcc1efcbba1f010a46acf3667e5795b36816642dda",
+    ),
+    # d << n with all-one values: the oversample-only path, placed not sorted
+    "er_2048_d4_s5_one": (
+        lambda: csr_digest(erdos_renyi(2048, 4, seed=5, values="one")),
+        "6f34755e4e99b5d27a2913c6bc67a838e5aa26d4871ba1d3b7ccb17a5be36492",
+    ),
+    # d == n: p = 1, no binomial draw, every cell present
+    "er_24_d24_s1": (
+        lambda: csr_digest(erdos_renyi(24, 24, seed=1)),
+        "a05b5b9a35ace6b8e07a2b64e56084d45503ad1623e4870b61fb593391c0753e",
+    ),
+    # n = 1: the one cell present, then absent (an empty matrix)
+    "er_1_d1_s0": (
+        lambda: csr_digest(erdos_renyi(1, 1, seed=0)),
+        "ba9c0d5b265db44d2143fb87c560c0efb4b07886d2c29887a85a9ceef5f60146",
+    ),
+    "er_1_d0.5_s2": (
+        lambda: csr_digest(erdos_renyi(1, 0.5, seed=2)),
+        "78a3f1d05100fdd7135e11ac502f7f9e8d5188de5a08b75bbf708e34ee6d5fe4",
+    ),
+    # the triples themselves, in their sampled (shuffled) order
+    "er_triples_1000_d6_s9": (
+        lambda: digest((1000, 1000), *erdos_renyi_triples(1000, 6, seed=9)),
+        "12fbbb3e0897f74280d579c3153de41ce4899279f1f5d7d5ed3031bbf6983772",
+    ),
+    "er_triples_48_d12_s2_one": (
+        lambda: digest(
+            (48, 48), *erdos_renyi_triples(48, 12, seed=2, values="one")
+        ),
+        "2341afc97c65e54f8cd117708a697e455c81b04fcd2d5fefcb1ba52346d13be5",
     ),
     # sparse k: oversample, then drop the surplus with rng.choice
     "vec_100k_nnz10k_s1": (

@@ -10,9 +10,9 @@ compares exactly (``array_equal`` plus dtype equality, never
 
 Coverage:
 
-* ``stable_argsort_bounded`` (the narrow-key radix argsort) vs the plain
-  stable argsort — spanning the uint8/uint16/uint32 width cuts and the
-  small-array bypass;
+* ``stable_argsort_bounded`` (the radix argsort) vs the plain stable
+  argsort — spanning the uint8/uint16 width cuts, 1 to 4 16-bit LSD
+  digits, and the small-array bypass;
 * ``merge_sort`` / ``radix_sort`` vs the bottom-up merge passes and the
   per-digit counting scatters;
 * ``sorted_unique`` vs ``np.unique``, ``coo_order`` vs
@@ -58,6 +58,7 @@ from repro.algebra.semiring import LOR_LAND, MIN_PLUS, PLUS_TIMES
 from repro.distributed import DistSparseMatrix, DistSparseVector
 from repro.distributed.block import Block2D
 from repro.ops.mxm import mxm_gustavson
+from repro.ops.spmv import vxm_dense
 from repro.ops.spmspv import spmspv_dist, spmspv_shm
 from repro.ops.spmspv_merge import spmspv_shm_merge
 from repro.runtime import (
@@ -92,6 +93,8 @@ from tests.oracles import (
     radix_sort_reference,
     ranges_reference,
     spmspv_spa_reference,
+    transpose_reference,
+    vxm_dense_reference,
 )
 from tests.strategies import PROFILE, PROFILE_FAST, matrix_vector_pairs
 from tests.strategies.vectors import dense_masks
@@ -139,9 +142,9 @@ class TestStableArgsortBounded:
     )
     @settings(PROFILE)
     def test_matches_plain_stable_argsort(self, keys, data):
-        """The narrowed-dtype argsort must return the *identical* stable
-        permutation for every bound classification (uint8/16/32/passthrough),
-        on both sides of the size-64 bypass."""
+        """The radix argsort must return the *identical* stable
+        permutation for every bound classification (uint8, uint16, 16-bit
+        digits), on both sides of the size-64 bypass."""
         keys = np.array(keys, dtype=np.int64)
         hi = int(keys.max()) + 1 if keys.size else 1
         bound = data.draw(
@@ -167,6 +170,57 @@ class TestStableArgsortBounded:
         keys = np.empty(0, dtype=np.int64)
         assert_same_array(
             np.argsort(keys, kind="stable"), stable_argsort_bounded(keys, 10)
+        )
+
+    #: bounds by the number of 16-bit radix digits they take, each side of
+    #: the one-byte top digit cut (2**24 / 2**40 / 2**56) included
+    DIGIT_BOUNDS = {
+        1: [2, 255, 2**8 + 1, 2**16],
+        2: [2**16 + 1, 2**24, 2**24 + 1, 2**32],
+        3: [2**32 + 1, 2**40, 2**40 + 1, 2**48],
+        4: [2**48 + 1, 2**56, 2**56 + 1, 2**63],
+    }
+
+    @given(
+        digits=st.sampled_from(sorted(DIGIT_BOUNDS)),
+        shape=st.sampled_from(["random", "few-values", "sorted", "reversed", "equal"]),
+        n=st.one_of(st.integers(0, 63), st.integers(64, 400)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(PROFILE)
+    def test_radix_digits_match_plain_stable_argsort(
+        self, digits, shape, n, seed, data
+    ):
+        """The LSD radix path returns the one stable permutation for keys
+        of 1 to 4 digits, up to a bound of 2**63, on random, heavily
+        duplicated, presorted, reversed and all-equal keys, both sides of
+        the size-64 bypass."""
+        bound = data.draw(st.sampled_from(self.DIGIT_BOUNDS[digits]))
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, bound, size=n, dtype=np.int64)
+        if shape == "few-values":
+            # heavy duplicates, the largest key included: ties keep input order
+            pool = rng.integers(0, bound, size=5, dtype=np.int64)
+            pool[0] = bound - 1
+            keys = pool[rng.integers(0, pool.size, size=n)]
+        elif shape == "sorted":
+            keys.sort()
+        elif shape == "reversed":
+            keys = np.sort(keys)[::-1].copy()
+        elif shape == "equal":
+            keys[:] = bound - 1
+        assert_same_array(
+            np.argsort(keys, kind="stable"),
+            stable_argsort_bounded(keys, bound),
+            f"bound={bound} shape={shape} n={n}",
+        )
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.uint64, np.intp])
+    def test_radix_accepts_other_integer_dtypes(self, dtype):
+        keys = np.random.default_rng(3).integers(0, 2**31 - 1, size=500).astype(dtype)
+        assert_same_array(
+            np.argsort(keys, kind="stable"), stable_argsort_bounded(keys, 2**31)
         )
 
 
@@ -264,6 +318,40 @@ class TestCooOrder:
         expected = lexsort((cols, small_rows))
         assert_same_array(expected, coo_order(small_rows, cols))
         assert not calls, "a key that fits int64 must not fall back"
+
+
+class TestColumnOrder:
+    """Transpose and ``vxm_dense`` put nonzeros in column order with the
+    radix argsort; the result must be bit-identical to the comparison-sort
+    form, float PLUS_TIMES sums included (the fold order shows in them)."""
+
+    @staticmethod
+    def wide_matrix(ncols: int) -> CSRMatrix:
+        rng = np.random.default_rng(ncols)
+        nnz = 4000
+        # a few hot columns give long per-column fold runs
+        cols = np.where(
+            rng.random(nnz) < 0.3,
+            rng.integers(0, 5, size=nnz),
+            rng.integers(0, ncols, size=nnz),
+        )
+        rows = rng.integers(0, 300, size=nnz)
+        vals = rng.choice([1e16, -1e16, 1.0, 0.1, -3.3e-5, 2.5e8], size=nnz)
+        return CSRMatrix.from_triples(300, ncols, rows, cols, vals)
+
+    @pytest.mark.parametrize("ncols", [300, 70_000, 2**20 + 1])
+    def test_transposed_matches_reference(self, ncols):
+        a = self.wide_matrix(ncols)
+        assert_same_csr(transpose_reference(a), a.transposed())
+
+    @pytest.mark.parametrize("semiring", [PLUS_TIMES, MIN_PLUS], ids=["plus_times", "min_plus"])
+    @pytest.mark.parametrize("ncols", [300, 70_000, 2**20 + 1])
+    def test_vxm_dense_matches_reference(self, ncols, semiring):
+        a = self.wide_matrix(ncols)
+        x = np.random.default_rng(1).random(a.nrows)
+        assert_same_array(
+            vxm_dense_reference(x, a, semiring), vxm_dense(x, a, semiring=semiring).values
+        )
 
 
 def assert_same_triples(ref, got) -> None:

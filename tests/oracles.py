@@ -30,6 +30,8 @@ __all__ = [
     "spmspv_spa_reference",
     "mxm_gustavson_reference",
     "partition_reference",
+    "transpose_reference",
+    "vxm_dense_reference",
 ]
 
 
@@ -115,6 +117,29 @@ def coalesce_reference(
     starts = np.flatnonzero(is_first)
     merged = dup.reduceat(values, starts)
     return rows[starts], cols[starts], np.asarray(merged, dtype=values.dtype)
+
+
+def transpose_reference(a: CSRMatrix) -> CSRMatrix:
+    """Aᵀ by a comparison sort: a stable ``np.argsort`` of the row-ordered
+    column indices groups the nonzeros by column, rows ascending."""
+    order = np.argsort(a.colidx, kind="stable")
+    rowptr = np.zeros(a.ncols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a.colidx, minlength=a.ncols), out=rowptr[1:])
+    return CSRMatrix(
+        a.ncols, a.nrows, rowptr, a.row_indices()[order], a.values[order]
+    )
+
+
+def vxm_dense_reference(
+    x: np.ndarray, a: CSRMatrix, semiring: Semiring = PLUS_TIMES
+) -> np.ndarray:
+    """``x ⊗ A`` with dense ``x``: products in CSR order, put in column
+    order by a stable ``np.argsort`` and folded per column."""
+    products = np.asarray(semiring.mult(x[a.row_indices()], a.values))
+    order = np.argsort(a.colidx, kind="stable")
+    colptr = np.zeros(a.ncols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a.colidx, minlength=a.ncols), out=colptr[1:])
+    return np.asarray(semiring.add.reduceat(products[order], colptr[:-1]))
 
 
 # ---------------------------------------------------------------------------
