@@ -30,11 +30,12 @@ from ..exec import DistBackend, ShmBackend
 from ..generators import erdos_renyi, random_sparse_vector, rmat
 from ..ops.dispatch import Dispatcher
 from ..ops.ewise import ewiseadd_mm
-from ..ops.matrix_dist import select_dist_matrix, transpose_any
+from ..ops.matrix_dist import select_dist_matrix
 from ..ops.mxm import mxm
 from ..ops.mxm_dist import replication_factors
 from ..ops.reduce import reduce_matrix_scalar
 from ..ops.spmspv import SCATTER_STEP, spmspv_dist
+from ..ops.transpose import transpose_dist
 from ..runtime import CostLedger, LocaleGrid, Machine, shared_machine
 from ..sparse import CSRMatrix, SparseVector
 from .harness import NODE_SWEEP, scaled_nnz
@@ -260,7 +261,7 @@ def direct_triangle_dist(a: CSRMatrix, m: Machine) -> int:
     d = Dispatcher(m)
     ad = DistSparseMatrix.from_global(a, m.grid)
     low, _ = select_dist_matrix(ad, TRIL, m, -1)
-    lowt, _ = transpose_any(low, m)
+    lowt, _ = transpose_dist(low, m)
     wedges, _ = d.mxm_dist(low, lowt, semiring=PLUS_PAIR, mask=low)
     return int(sum(blk.values.sum() for blk in wedges.blocks))
 

@@ -33,10 +33,10 @@ from .ops.matrix_dist import (
     row_degrees_dist,
     scale_rows_dist,
     select_dist_matrix,
-    transpose_any,
 )
 from .ops.reduce import reduce_dist_vector
 from .ops.spmspv import spmspv_dist
+from .ops.transpose import transpose_dist
 from .runtime.locale import Machine
 from .sparse.csr import CSRMatrix
 from .sparse.vector import SparseVector
@@ -386,7 +386,7 @@ class DistMatrix:
     def T(self) -> "DistMatrix":
         """Distributed transpose: blockwise exchange on square grids,
         gather/redistribute fallback elsewhere."""
-        t, _ = transpose_any(self._data, self.machine)
+        t, _ = transpose_dist(self._data, self.machine)
         return DistMatrix(t, self.machine)
 
     # -- structure ----------------------------------------------------------------

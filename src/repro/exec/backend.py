@@ -35,7 +35,7 @@ import numpy as np
 
 from ..algebra.functional import BinaryOp, ONE, UnaryOp
 from ..algebra.monoid import Monoid, PLUS_MONOID
-from ..algebra.semiring import Semiring
+from ..algebra.semiring import PLUS_TIMES, Semiring
 from ..runtime.clock import CostLedger
 from ..runtime.locale import Machine
 from ..runtime.telemetry import registry as _metrics
@@ -392,6 +392,20 @@ class BackendBase:
         """An empty sparse vector of capacity ``n``."""
         return self.vector(SparseVector.empty(n))
 
+    def vxm_dense(self, x: np.ndarray, a, *, semiring: Semiring = PLUS_TIMES) -> np.ndarray:
+        """``y[j] = ⊕ᵢ x[i] ⊗ A[i,j]`` over replicated dense state.
+
+        ``mxv_dense`` on the cached ``Aᵀ``, which computes ``Aᵀ[j,i] ⊗
+        x[i]``: a non-commutative multiply gets its operands swapped so
+        ``x`` stays on the left.
+        """
+        mult = semiring.multiply
+        if not mult.commutative:
+            semiring = Semiring(
+                semiring.add, BinaryOp(f"{mult.name}_flipped", lambda u, v: mult(v, u))
+            )
+        return self.mxv_dense(self.transpose(a), x, semiring=semiring)
+
     # concrete backends must provide the rest of the protocol
     def apply_matrix(self, a, op):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -402,6 +416,6 @@ class BackendBase:
 
 # the base's own helpers are profiled too, so `pattern` shows up in tallies
 # alongside the `apply_matrix` it delegates to (time attributed once).
-for _op in ("pattern", "vector_from_pairs", "empty_vector"):
+for _op in ("pattern", "vector_from_pairs", "empty_vector", "vxm_dense"):
     setattr(BackendBase, _op, _profiled(_op, BackendBase.__dict__[_op]))
 del _op

@@ -10,8 +10,9 @@ exchange layer — the algorithm sees none of it.
 
 Grid generality: sparse SUMMA and the blockwise transpose exchange need
 square locale grids; on other grids this backend transparently falls
-back to the gather-based forms of :mod:`repro.ops.matrix_dist`, which
-charge the full round trip they perform.
+back to gather-based forms (:func:`~repro.ops.matrix_dist.mxm_gathered`
+and the gathered branch of :func:`~repro.ops.transpose.transpose_dist`),
+which charge the full round trip they perform.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..ops.dispatch import Dispatcher
 from ..ops.ewise import ewiseadd_vv, ewisemult_vv
 from ..ops.spmv import spmv_dist
 from ..runtime.clock import Breakdown
-from ..runtime.epoch import bump_epoch, epoch_of
+from ..runtime.epoch import bump_epoch
 from ..runtime.locale import Machine
 from ..sparse.csr import CSRMatrix
 from ..sparse.formats import ensure_csr
@@ -60,7 +61,6 @@ class DistBackend(BackendBase):
         self.scatter_mode = scatter_mode
         self.sort = sort
         self.comm_mode = comm_mode
-        self._transposes: dict[int, tuple[DistMatrix, DistMatrix, int]] = {}
 
     # -- constructors / bridges -------------------------------------------------
 
@@ -109,16 +109,8 @@ class DistBackend(BackendBase):
         return a.row_degrees()
 
     def transpose(self, a: DistMatrix) -> DistMatrix:
-        """``Aᵀ``, cached per handle for reuse across iterations."""
-        # keyed by id with the handle kept alive in the value, so a
-        # recycled id can never alias a dead handle's transpose; the
-        # storage epoch guards against in-place mutation (apply_updates)
-        hit = self._transposes.get(id(a))
-        if hit is not None and hit[0] is a and hit[2] == epoch_of(a.data):
-            return hit[1]
-        cached = a.T
-        self._transposes[id(a)] = (a, cached, epoch_of(a.data))
-        return cached
+        """``Aᵀ`` from the dispatcher's per-epoch transpose cache."""
+        return DistMatrix(self.dispatcher.transpose_of(a.data), self.machine)
 
     def tril(self, a: DistMatrix, k: int = 0) -> DistMatrix:
         """Lower-triangular part (blockwise select, global coordinates)."""
@@ -251,13 +243,6 @@ class DistBackend(BackendBase):
             sort=self.sort,
             dispatcher=self.dispatcher,
         )
-
-    def vxm_dense(
-        self, x: np.ndarray, a: DistMatrix, *, semiring: Semiring = PLUS_TIMES
-    ) -> np.ndarray:
-        """``y = x ⊗ A`` over replicated dense state (distributed SpMV on
-        the cached transpose)."""
-        return self.mxv_dense(self.transpose(a), x, semiring=semiring)
 
     def mxv_dense(
         self, a: DistMatrix, x: np.ndarray, *, semiring: Semiring = PLUS_TIMES

@@ -2,8 +2,8 @@
 
 Handles are the OO façades (:class:`~repro.matrix_api.Matrix`,
 :class:`~repro.vector_api.Vector`); every ``vxm`` routes through one
-long-lived :class:`~repro.ops.dispatch.Dispatcher`, so the transpose
-cache stays warm across an algorithm's iterations and every kernel
+long-lived :class:`~repro.ops.dispatch.Dispatcher`, whose transpose
+cache stays warm across an algorithm's iterations, and every kernel
 choice is recorded as a ``dispatch[vxm]`` span.
 """
 
@@ -17,8 +17,8 @@ from ..algebra.semiring import PLUS_TIMES, Semiring
 from ..matrix_api import Matrix
 from ..ops.dispatch import Dispatcher
 from ..ops.mxm import mxm
-from ..ops.spmv import spmv, vxm_dense
-from ..runtime.epoch import bump_epoch, epoch_of
+from ..ops.spmv import spmv
+from ..runtime.epoch import bump_epoch
 from ..runtime.locale import Machine, shared_machine
 from ..sparse.csr import CSRMatrix
 from ..sparse.vector import DenseVector, SparseVector
@@ -51,7 +51,6 @@ class ShmBackend(BackendBase):
             pull_threshold=pull_threshold,
             assume_transpose_amortized=assume_transpose_amortized,
         )
-        self._transposes: dict[int, tuple[Matrix, Matrix, int]] = {}
 
     # -- constructors / bridges -------------------------------------------------
 
@@ -90,18 +89,8 @@ class ShmBackend(BackendBase):
         return a.data.row_degrees()
 
     def transpose(self, a: Matrix) -> Matrix:
-        """``Aᵀ``, cached per handle for reuse across iterations."""
-        # keyed by id with the handle kept alive in the value, so a
-        # recycled id can never alias a dead handle's transpose; the
-        # storage epoch guards against in-place mutation (apply_updates)
-        hit = self._transposes.get(id(a))
-        if hit is not None and hit[0] is a and hit[2] == epoch_of(a.data):
-            return hit[1]
-        cached = a.T
-        self._transposes[id(a)] = (a, cached, epoch_of(a.data))
-        self.dispatcher.seed_transpose(cached.data, a.data)
-        self.dispatcher.seed_transpose(a.data, cached.data)
-        return cached
+        """``Aᵀ`` from the dispatcher's per-epoch transpose cache."""
+        return Matrix(self.dispatcher.transpose_of(a.data))
 
     def tril(self, a: Matrix, k: int = 0) -> Matrix:
         """Lower-triangular part (``col <= row + k``)."""
@@ -200,12 +189,6 @@ class ShmBackend(BackendBase):
             replace=d.replace,
         )
         return Vector.wrap(merged)
-
-    def vxm_dense(
-        self, x: np.ndarray, a: Matrix, *, semiring: Semiring = PLUS_TIMES
-    ) -> np.ndarray:
-        """``y = x ⊗ A`` over replicated dense state."""
-        return vxm_dense(DenseVector(np.asarray(x)), a.data, semiring=semiring).values
 
     def mxv_dense(
         self, a: Matrix, x: np.ndarray, *, semiring: Semiring = PLUS_TIMES

@@ -31,7 +31,7 @@ from .ops.extract import extract_col, extract_matrix, extract_row
 from .ops.mask import mask_matrix
 from .ops.mxm import mxm
 from .ops.reduce import reduce_cols_sparse, reduce_rows_sparse
-from .ops.spmv import spmv, vxm_dense
+from .ops.spmv import spmv
 from .sparse.coo import COOMatrix
 from .sparse.csr import CSRMatrix
 from .vector_api import Mask, Vector
@@ -246,17 +246,16 @@ class Matrix:
         Dense input (numpy array / DenseVector) → dense output via the SpMV
         specialisation; sparse :class:`Vector` → direction-optimized
         dispatch on the transpose orientation (``A x ≡ (xᵀ Aᵀ)ᵀ``): push is
-        an SpMSpV over ``Aᵀ``, pull scans rows of ``A`` itself, so both
-        orientations are already in hand and the dispatcher's transpose
-        cache is seeded for free.
+        an SpMSpV over ``Aᵀ``, pull scans rows of ``A`` itself.  Building
+        ``Aᵀ`` through the dispatcher caches both orientations, so pull
+        finds ``A`` already in hand and bills no transpose.
         """
         from .ops.dispatch import Dispatcher
         from .runtime.locale import shared_machine
 
         if isinstance(x, Vector):
-            at = self._data.transposed()
             disp = Dispatcher(machine or shared_machine(1), mode=mode)
-            disp.seed_transpose(at, self._data)
+            at = disp.transpose_of(self._data)
             y, _ = disp.vxm(at, x.data, semiring=semiring, mode=mode)
             return Vector(y)
         return spmv(self._data, x, semiring=semiring)

@@ -70,6 +70,7 @@ from .mxm_dist import replication_factors
 from .spmspv import bulk_scatter_cost, spmspv_dist, spmspv_shm, spmspv_shm_cost
 from .spmspv_merge import spmspv_merge_cost, spmspv_shm_merge
 from .spmv import vxm_pull, vxm_pull_cost
+from .transpose import transpose_dist
 
 __all__ = [
     "Dispatcher",
@@ -165,7 +166,7 @@ class Dispatcher:
         self.pull_threshold = pull_threshold
         self.assume_transpose_amortized = assume_transpose_amortized
         self.decisions: list[Decision] = []
-        self._transposes: dict[int, tuple[CSRMatrix, CSRMatrix, int]] = {}
+        self._transposes: dict[int, tuple[object, object, int, int]] = {}
 
     # -- transpose cache ----------------------------------------------------
 
@@ -179,42 +180,56 @@ class Dispatcher:
             self.machine.threads_per_locale,
         )
 
-    def transpose_of(self, a: CSRMatrix) -> CSRMatrix:
-        """``Aᵀ``, materialised once per matrix *epoch* and cached.
-
-        The build is charged to the ledger as a ``dispatch[transpose]``
-        span the first time, then reused for every later pull.  An
-        in-place mutation of ``a`` (a streaming delta batch bumping its
-        epoch) invalidates the entry, so the next pull rebuilds — and
-        re-bills — the transpose instead of reading stale data.
-        """
-        cached = self._transposes.get(id(a))
-        if cached is not None and cached[0] is a and cached[2] == epoch_of(a):
-            return cached[1]
-        at = a.transposed()
-        self._transposes[id(a)] = (a, at, epoch_of(a))
-        self.machine.record(
-            "dispatch[transpose]", Breakdown({"build": self._transpose_build_cost(a)})
-        )
+    def _cached_transpose(self, a: CSRMatrix | DistSparseMatrix):
+        """The cached ``Aᵀ``, or ``None`` when it was never built or
+        either orientation has been mutated in place since."""
+        hit = self._transposes.get(id(a))
+        if hit is None or hit[0] is not a:
+            return None
+        at, epoch_a, epoch_at = hit[1:]
+        if epoch_a != epoch_of(a) or epoch_at != epoch_of(at):
+            return None
         return at
 
-    def prepare_pull(self, a: CSRMatrix) -> "Dispatcher":
-        """Pre-materialise ``Aᵀ`` (charging its build now); returns self."""
-        self.transpose_of(a)
-        return self
+    def transpose_of(
+        self, a: CSRMatrix | DistSparseMatrix
+    ) -> CSRMatrix | DistSparseMatrix:
+        """``Aᵀ`` of a CSR or distributed matrix, built once per matrix
+        *epoch* and cached — the one transpose cache of the library.
 
-    def seed_transpose(self, a: CSRMatrix, at: CSRMatrix) -> "Dispatcher":
-        """Register an already-materialised ``at = Aᵀ`` without charging a
-        build — for callers (e.g. ``Matrix.mxv``) that hold both
-        orientations anyway; returns self."""
-        self._transposes[id(a)] = (a, at, epoch_of(a))
-        return self
+        Entries are keyed by ``id`` and anchored on the storage object, so
+        a recycled id never aliases a dead matrix; an in-place mutation
+        of either orientation (a streaming delta batch bumping its
+        epoch) invalidates the pair.  A build stores both orientations,
+        so ``transpose_of(transpose_of(a)) is a``.  Building here charges
+        nothing beyond what the distributed transpose kernel records
+        itself; the pull path bills its build through
+        :meth:`prepare_pull`.
+        """
+        at = self._cached_transpose(a)
+        if at is not None:
+            return at
+        stale = self._transposes.pop(id(a), None)
+        if stale is not None and self._transposes.get(id(stale[1]), (None, None))[1] is a:
+            del self._transposes[id(stale[1])]  # its reverse entry
+        if isinstance(a, DistSparseMatrix):
+            at, _ = transpose_dist(a, self.machine)
+        else:
+            at = a.transposed()
+        ea, et = epoch_of(a), epoch_of(at)
+        self._transposes[id(a)] = (a, at, ea, et)
+        self._transposes[id(at)] = (at, a, et, ea)
+        return at
 
-    def _has_transpose(self, a: CSRMatrix) -> bool:
-        cached = self._transposes.get(id(a))
-        return (
-            cached is not None and cached[0] is a and cached[2] == epoch_of(a)
-        )
+    def prepare_pull(self, a: CSRMatrix) -> CSRMatrix:
+        """``Aᵀ`` for the pull kernel; a cache miss is billed as a
+        one-time ``dispatch[transpose]`` build span."""
+        if self._cached_transpose(a) is None:
+            self.machine.record(
+                "dispatch[transpose]",
+                Breakdown({"build": self._transpose_build_cost(a)}),
+            )
+        return self.transpose_of(a)
 
     # -- decision bookkeeping -----------------------------------------------
 
@@ -283,8 +298,8 @@ class Dispatcher:
             machine, row_nnzs=row_nnzs, flops=int(flops_eff), out_nnz=out_est, ncols=ncols
         ).total
 
-        if self._has_transpose(a):
-            at = self.transpose_of(a)
+        at = self._cached_transpose(a)
+        if at is not None:
             if allowed_mask is not None:
                 scan_nnzs = np.diff(at.rowptr)[allowed_mask]
             else:
@@ -362,7 +377,7 @@ class Dispatcher:
                 chosen = min(push_pool + (PULL,), key=estimates.__getitem__)
         self._decide("vxm", chosen, estimates, forced=forced)
         if chosen == PULL:
-            at = self.transpose_of(a)
+            at = self.prepare_pull(a)
             y, b = vxm_pull(
                 at, x, self.machine, semiring=semiring, mask=mask, complement=complement
             )

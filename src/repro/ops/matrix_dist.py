@@ -6,12 +6,13 @@ locale works on its own block with indices rebased to the global frame,
 then row-team partials combine.  They exist so :class:`~repro.dist_api
 .DistMatrix` can serve the full frontend op surface without gathering.
 
-Two gather-based fallbacks round out the set: ``transpose_any`` and
-``mxm_gathered`` cover the non-square locale grids where the square-grid
-exchange (:func:`~repro.ops.transpose.transpose_dist`) and sparse SUMMA
-(:func:`~repro.ops.mxm_dist.mxm_dist`) do not apply; both charge the
-allgather + recompute + redistribute they actually perform, so the cost
+A gather-based fallback rounds out the set: ``mxm_gathered`` covers the
+non-square locale grids where sparse SUMMA
+(:func:`~repro.ops.mxm_dist.mxm_dist`) does not apply; it charges the
+allgather + recompute + redistribute it actually performs, so the cost
 model stays honest about the penalty of an awkward grid.
+:func:`~repro.ops.transpose.transpose_dist` takes the same fallback on
+non-square grids and charges it with :func:`_gather_cost` too.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "scale_rows_dist",
     "row_degrees_dist",
     "reduce_rows_dense_dist",
-    "transpose_any",
     "mxm_gathered",
 ]
 
@@ -154,33 +154,6 @@ def _gather_cost(machine: Machine, nnz: int) -> float:
         machine.config, (nnz / max(machine.num_locales, 1)) * _ITEMSIZE,
         local=machine.oversubscribed,
     )
-
-
-def transpose_any(
-    a: DistSparseMatrix, machine: Machine
-) -> tuple[DistSparseMatrix, Breakdown]:
-    """Distributed transpose on *any* grid.
-
-    Square grids use the blockwise exchange of
-    :func:`~repro.ops.transpose.transpose_dist`; non-square grids fall
-    back to allgather → local transpose → redistribute and charge that
-    full round trip under a ``transpose_dist[gathered]`` span.
-    """
-    from .transpose import transpose_dist
-
-    if a.grid.rows == a.grid.cols:
-        return transpose_dist(a, machine)
-    cfg = machine.config
-    g = a.gather(faults=machine.faults)
-    comm = _gather_cost(machine, a.nnz) * 2  # collect + redistribute
-    compute = parallel_time(
-        cfg,
-        a.nnz * cfg.element_cost * machine.compute_penalty,
-        machine.threads_per_locale,
-    )
-    t = DistSparseMatrix.from_global(g.transposed(), a.grid)
-    b = Breakdown({"Gather": comm, "transpose": compute})
-    return t, machine.record("transpose_dist[gathered]", b)
 
 
 def mxm_gathered(

@@ -6,9 +6,10 @@ implementations based on sparsity for optimal performance".  This is the
 dense-vector specialisation: no SPA is needed because the output is dense —
 a row-wise segmented reduction does everything.
 
-Also provides ``vxm`` (vector × matrix, the orientation SpMSpV generalises),
-the *pull*-direction :func:`vxm_pull` used by the direction-optimizing
-dispatcher, and a distributed SpMV used by PageRank-style iterations.
+Also provides the *pull*-direction :func:`vxm_pull` used by the
+direction-optimizing dispatcher, and a distributed SpMV used by
+PageRank-style iterations.  Dense ``x ⊗ A`` is :func:`spmv` on the cached
+``Aᵀ`` (``BackendBase.vxm_dense``).
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from ..runtime.comm import allgather, bulk
 from ..runtime.locale import Machine
 from ..runtime.tasks import coforall_spawn, makespan, parallel_time
 from ..sparse.csr import CSRMatrix
-from ..sparse.sort import stable_argsort_bounded
 from ..sparse.vector import DenseVector, SparseVector
 from ..algebra.semiring import PLUS_TIMES, Semiring
 
-__all__ = ["spmv", "vxm_dense", "vxm_pull", "vxm_pull_cost", "spmv_dist"]
+__all__ = ["spmv", "vxm_pull", "vxm_pull_cost", "spmv_dist"]
 
 #: component labels of the pull kernel's breakdown
 DENSIFY_STEP = "Densify"
@@ -51,30 +51,6 @@ def spmv(
         raise ValueError(f"x has {xv.size} entries for {a.ncols} columns")
     products = np.asarray(semiring.mult(a.values, xv[a.colidx]))
     out = np.asarray(semiring.add.reduceat(products, a.rowptr[:-1]))
-    return DenseVector(out)
-
-
-def vxm_dense(
-    x: DenseVector | np.ndarray,
-    a: CSRMatrix,
-    *,
-    semiring: Semiring = PLUS_TIMES,
-) -> DenseVector:
-    """``y = x ⊗ A`` with dense ``x``: ``y[j] = ⊕_i x[i] ⊗ A[i,j]``.
-
-    Implemented as the transpose orientation of :func:`spmv` without
-    materialising Aᵀ: products are formed in CSR order and combined into
-    the output by column with an ordered segmented pass over Aᵀ.
-    """
-    xv = x.values if isinstance(x, DenseVector) else np.asarray(x)
-    if xv.size != a.nrows:
-        raise ValueError(f"x has {xv.size} entries for {a.nrows} rows")
-    products = np.asarray(semiring.mult(xv[a.row_indices()], a.values))
-    # order products by column (stable: rows ascending within a column)
-    order = stable_argsort_bounded(a.colidx, a.ncols)
-    colptr = np.zeros(a.ncols + 1, dtype=np.int64)
-    np.cumsum(np.bincount(a.colidx, minlength=a.ncols), out=colptr[1:])
-    out = np.asarray(semiring.add.reduceat(products[order], colptr[:-1]))
     return DenseVector(out)
 
 

@@ -2,7 +2,7 @@
 
 A thin operation over :meth:`CSRMatrix.transposed`; included as its own
 module so the op-level API mirrors the GraphBLAS function list (paper §III)
-and so the distributed block-exchange transpose has a home.
+and so the one distributed transpose has a home.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from ..runtime.comm import bulk
 from ..runtime.locale import Machine
 from ..runtime.tasks import coforall_spawn, parallel_time
 from ..sparse.csr import CSRMatrix
+from .matrix_dist import _gather_cost
 
 __all__ = ["transpose", "transpose_dist"]
 
@@ -25,16 +26,28 @@ def transpose(a: CSRMatrix) -> CSRMatrix:
 def transpose_dist(
     a: DistSparseMatrix, machine: Machine
 ) -> tuple[DistSparseMatrix, Breakdown]:
-    """Distributed transpose: locally transpose every block, then exchange
-    block ``(i, j)`` with block ``(j, i)`` across the grid.
+    """Distributed transpose on any locale grid.
 
-    Requires a square grid (the paper's power-of-four node counts); on a
-    non-square grid a general redistribution would be needed.
+    Square grids (the paper's power-of-four node counts) locally
+    transpose every block, then exchange block ``(i, j)`` with block
+    ``(j, i)`` across the grid (``transpose_dist`` span).  Other grids
+    have no partner block to swap with, so they allgather, transpose
+    locally and redistribute, charging that full round trip under a
+    ``transpose_dist[gathered]`` span.
     """
     grid = a.grid
-    if grid.rows != grid.cols:
-        raise ValueError("distributed transpose requires a square locale grid")
     cfg = machine.config
+    if grid.rows != grid.cols:
+        g = a.gather(faults=machine.faults)
+        comm = _gather_cost(machine, a.nnz) * 2  # collect + redistribute
+        compute = parallel_time(
+            cfg,
+            a.nnz * cfg.element_cost * machine.compute_penalty,
+            machine.threads_per_locale,
+        )
+        t = DistSparseMatrix.from_global(g.transposed(), grid)
+        b = Breakdown({"Gather": comm, "transpose": compute})
+        return t, machine.record("transpose_dist[gathered]", b)
     blocks = [None] * grid.size
     per_locale: list[Breakdown] = []
     for loc in grid:

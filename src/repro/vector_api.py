@@ -29,7 +29,6 @@ from .algebra import (
 from .ops.ewise import ewiseadd_vv, ewisemult_vv
 from .ops.extract import extract_vector
 from .ops.mask import mask_vector, mask_vector_dense
-from .ops.spmv import vxm_dense
 from .sparse.vector import DenseVector, SparseVector
 
 __all__ = ["Vector", "Mask"]

@@ -1,7 +1,7 @@
 """Unit tests for the execution frontend: protocol, backends, attribution.
 
 Covers the :class:`~repro.exec.Backend` protocol conformance of both
-backends, the per-handle transpose caches, the descriptor-driven output
+backends, the dispatcher's per-epoch transpose cache behind them, the descriptor-driven output
 step as seen *through* ``vxm``/``mxm``, and the per-iteration ledger
 attribution (:class:`~repro.exec.IterationScope`).
 """
@@ -13,7 +13,15 @@ import pytest
 
 import repro
 from repro.algebra.functional import MIN, PLUS
-from repro.algebra.semiring import MIN_PLUS, PLUS_PAIR
+from repro.algebra.semiring import (
+    MIN_FIRST,
+    MIN_PLUS,
+    PLUS_FIRST,
+    PLUS_PAIR,
+    PLUS_SECOND,
+    PLUS_TIMES,
+)
+from repro.algorithms import pagerank
 from repro.exec import (
     Backend,
     COMPLEMENT,
@@ -26,6 +34,7 @@ from repro.exec import (
 )
 from repro.runtime import CostLedger, LocaleGrid, Machine
 from repro.sparse.csr import CSRMatrix
+from tests.oracles import vxm_dense_reference
 
 N = 60
 
@@ -118,9 +127,11 @@ class TestProtocol:
 
 class TestTransposeCache:
     def test_cache_hit_is_same_handle(self, backend):
+        """A hit serves the cached ``Aᵀ`` storage (handles are thin
+        wrappers made per call)."""
         ah = backend.matrix(graph(seed=8))
         t1 = backend.transpose(ah)
-        assert backend.transpose(ah) is t1
+        assert backend.transpose(ah).data is t1.data
 
     def test_cache_does_not_alias_distinct_handles(self, backend):
         a1 = backend.matrix(graph(seed=9))
@@ -130,6 +141,97 @@ class TestTransposeCache:
         assert np.allclose(
             backend.to_csr(t2).to_dense(), backend.to_csr(a2).to_dense().T
         )
+
+
+def ledger_backend(kind):
+    if kind == "shm":
+        return ShmBackend(
+            Machine(grid=LocaleGrid(1, 1), threads_per_locale=2, ledger=CostLedger())
+        )
+    return DistBackend(dist_machine(4 if kind == "dist" else 6, ledger=CostLedger()))
+
+
+def entries(b, *labels):
+    """Ledger entries whose label (iteration prefix stripped) is in ``labels``."""
+    return sum(
+        1 for label, _ in b.machine.ledger.entries if label.rsplit(":", 1)[-1] in labels
+    )
+
+
+class TestOneTransposePerEpoch:
+    """The dispatcher holds the only transpose cache: ``Aᵀ`` is built once
+    per matrix epoch, whichever op asks for it."""
+
+    @pytest.fixture(params=["shm", "dist", "dist_nonsquare"])
+    def counted(self, request, monkeypatch):
+        """A ledger backend plus a count of the ``Aᵀ`` builds so far:
+        ``CSRMatrix.transposed`` calls on shared memory, transpose ledger
+        entries on the distributed backend."""
+        b = ledger_backend(request.param)
+        calls = []
+        real = CSRMatrix.transposed
+
+        def counting(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(CSRMatrix, "transposed", counting)
+        if b.name == "shm":
+            return b, lambda: len(calls)
+        return b, lambda: entries(b, "transpose_dist", "transpose_dist[gathered]")
+
+    def test_pagerank_builds_transpose_once(self, counted):
+        b, builds = counted
+        pagerank(graph(seed=22), tol=1e-12, backend=b)
+        assert builds() == 1
+
+    def test_transpose_of_transpose_is_original_storage(self, counted):
+        b, builds = counted
+        ah = b.matrix(graph(seed=23))
+        t = b.transpose(ah)
+        assert builds() == 1
+        assert b.transpose(t).data is ah.data
+        assert builds() == 1
+
+    @pytest.mark.parametrize("transpose_a", [False, True])
+    def test_pull_path_bills_build_once(self, transpose_a):
+        """A pull ``vxm`` bills ``dispatch[transpose]`` once on a cold
+        ``Aᵀ``; with the transpose descriptor both orientations are
+        already cached, so it bills nothing."""
+        b = ledger_backend("shm")
+        ah, xh = b.matrix(graph(seed=24)), b.vector(vec(seed=25))
+        desc = Descriptor(transpose_a=transpose_a)
+        for _ in range(2):
+            b.vxm(xh, ah, desc=desc, mode="pull")
+            assert entries(b, "dispatch[transpose]") == (0 if transpose_a else 1)
+
+
+class TestVxmDense:
+    """``vxm_dense`` keeps ``x`` on the left of the multiply:
+    ``y[j] = ⊕ᵢ x[i] ⊗ A[i,j]``, checked on every backend."""
+
+    @pytest.mark.parametrize(
+        "semiring, exact_on_dist",
+        [
+            (PLUS_TIMES, False),
+            (MIN_PLUS, True),
+            (PLUS_FIRST, False),
+            (PLUS_SECOND, False),
+            (MIN_FIRST, True),
+        ],
+        ids=["plus_times", "min_plus", "plus_first", "plus_second", "min_first"],
+    )
+    def test_matches_reference(self, backend, semiring, exact_on_dist):
+        a = graph(seed=26, deg=6)
+        rng = np.random.default_rng(27)
+        a.values[:] = rng.random(a.nnz)
+        x = rng.random(N)
+        want = vxm_dense_reference(x, a, semiring)
+        got = backend.vxm_dense(x, backend.matrix(a), semiring=semiring)
+        if backend.name == "shm" or exact_on_dist:
+            assert np.array_equal(got, want)
+        else:  # blockwise float sums re-associate
+            assert np.allclose(got, want)
 
 
 class TestVxmDescriptor:

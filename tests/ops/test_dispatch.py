@@ -1,5 +1,7 @@
 """Unit tests for the cost-model dispatch engine (repro.ops.dispatch)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -131,21 +133,22 @@ class TestTransposeCache:
         a, x = _workload()
         machine = _machine()
         disp = Dispatcher(machine)
-        at1 = disp.transpose_of(a)
-        at2 = disp.transpose_of(a)
+        at1 = disp.prepare_pull(a)
+        at2 = disp.prepare_pull(a)
         assert at1 is at2
         builds = [
             e for e in machine.ledger.entries if e[0] == "dispatch[transpose]"
         ]
         assert len(builds) == 1
 
-    def test_seed_transpose_charges_nothing(self):
+    def test_transpose_of_charges_nothing(self):
         a, _ = _workload()
         machine = _machine()
         disp = Dispatcher(machine)
-        at = a.transposed()
-        disp.seed_transpose(a, at)
+        at = disp.transpose_of(a)
         assert disp.transpose_of(a) is at
+        assert disp.transpose_of(at) is a  # both orientations cached
+        assert disp.prepare_pull(a) is at  # a warm pull bills no build
         assert not any(
             e[0] == "dispatch[transpose]" for e in machine.ledger.entries
         )
@@ -158,7 +161,13 @@ class TestTransposeCache:
         at0 = disp.transpose_of(a)
         assert disp.transpose_of(a) is at0  # warm
         bump_epoch(a)
-        assert disp.transpose_of(a) is not at0  # rebuilt, re-billed
+        stale = weakref.ref(at0)
+        del at0
+        at1 = disp.transpose_of(a)
+        assert stale() is None  # rebuilt; the stale pair is not kept alive
+        assert disp.transpose_of(at1) is a
+        bump_epoch(at1)  # mutating the other orientation invalidates too
+        assert disp.transpose_of(a) is not at1
 
     def test_cached_transpose_removes_build_from_estimate(self):
         a, x = _workload()

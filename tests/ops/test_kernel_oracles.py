@@ -57,8 +57,8 @@ from repro.algebra.monoid import (
 from repro.algebra.semiring import LOR_LAND, MIN_PLUS, PLUS_TIMES
 from repro.distributed import DistSparseMatrix, DistSparseVector
 from repro.distributed.block import Block2D
+from repro.exec import ShmBackend
 from repro.ops.mxm import mxm_gustavson
-from repro.ops.spmv import vxm_dense
 from repro.ops.spmspv import spmspv_dist, spmspv_shm
 from repro.ops.spmspv_merge import spmspv_shm_merge
 from repro.runtime import (
@@ -321,9 +321,10 @@ class TestCooOrder:
 
 
 class TestColumnOrder:
-    """Transpose and ``vxm_dense`` put nonzeros in column order with the
-    radix argsort; the result must be bit-identical to the comparison-sort
-    form, float PLUS_TIMES sums included (the fold order shows in them)."""
+    """Transpose puts nonzeros in column order with the radix argsort,
+    and ``vxm_dense`` folds each column of the cached transpose; both must
+    be bit-identical to the comparison-sort form, float PLUS_TIMES sums
+    included (the fold order shows in them)."""
 
     @staticmethod
     def wide_matrix(ncols: int) -> CSRMatrix:
@@ -349,8 +350,9 @@ class TestColumnOrder:
     def test_vxm_dense_matches_reference(self, ncols, semiring):
         a = self.wide_matrix(ncols)
         x = np.random.default_rng(1).random(a.nrows)
+        b = ShmBackend()
         assert_same_array(
-            vxm_dense_reference(x, a, semiring), vxm_dense(x, a, semiring=semiring).values
+            vxm_dense_reference(x, a, semiring), b.vxm_dense(x, b.matrix(a), semiring=semiring)
         )
 
 

@@ -2,8 +2,8 @@
 helpers (:mod:`repro.ops.matrix_dist`) against scipy/dense oracles.
 
 Every property draws an arbitrary locale grid — *including the non-square
-shapes* (1x3, 2x3, ...) whose gather-based fallbacks (``transpose_any``,
-``mxm_gathered``) take the slow path — and checks the gathered result
+shapes* (1x3, 2x3, ...) whose gather-based fallbacks (the gathered branch
+of ``transpose_dist``, ``mxm_gathered``) take the slow path — and checks the gathered result
 against the same computation on the undistributed matrix.  Entry values
 come from the exactly-representable pool, so comparisons are ``==``
 except where reduction order genuinely differs.
@@ -26,8 +26,8 @@ from repro.ops.matrix_dist import (
     row_degrees_dist,
     scale_rows_dist,
     select_dist_matrix,
-    transpose_any,
 )
+from repro.ops.transpose import transpose_dist
 from repro.runtime import CostLedger, LocaleGrid, Machine
 from tests.strategies import PROFILE_FAST, csr_matrices
 
@@ -120,11 +120,13 @@ class TestRowReductions:
 
 
 class TestTransposeAny:
+    """``transpose_dist`` on any grid shape."""
+
     @given(matrices, grids)
     @PROFILE_FAST
     def test_matches_scipy_transpose(self, a, grid):
         m = machine_for(grid)
-        out, b = transpose_any(distribute(a, grid), m)
+        out, b = transpose_dist(distribute(a, grid), m)
         oracle = sp.csr_matrix(
             (a.values, a.colidx, a.rowptr), shape=(a.nrows, a.ncols)
         ).T.toarray()
@@ -137,8 +139,8 @@ class TestTransposeAny:
     @PROFILE_FAST
     def test_involution(self, a, grid):
         m = machine_for(grid)
-        t, _ = transpose_any(distribute(a, grid), m)
-        tt, _ = transpose_any(t, m)
+        t, _ = transpose_dist(distribute(a, grid), m)
+        tt, _ = transpose_dist(t, m)
         assert np.array_equal(dense(tt), a.to_dense())
 
 

@@ -1,4 +1,9 @@
-"""Unit tests for SpMV / vxm (dense-vector products)."""
+"""Unit tests for SpMV / vxm (dense-vector products).
+
+Dense ``x ⊗ A`` has one implementation, ``BackendBase.vxm_dense``
+(``spmv`` on the cached ``Aᵀ``), so ``TestVxm`` drives it through
+:class:`~repro.exec.ShmBackend`.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +11,8 @@ import pytest
 from repro.algebra import MIN_PLUS, PLUS_TIMES
 from repro.distributed import DistDenseVector, DistSparseMatrix
 from repro.generators import erdos_renyi
-from repro.ops import spmv, spmv_dist, vxm_dense
+from repro.exec import ShmBackend
+from repro.ops import spmv, spmv_dist
 from repro.runtime import LocaleGrid, Machine
 from repro.sparse import CSRMatrix, DenseVector
 
@@ -44,18 +50,23 @@ class TestSpMV:
             spmv(CSRMatrix.empty(3, 4), np.ones(3))
 
 
+def vxm_dense(x, a, semiring=PLUS_TIMES):
+    b = ShmBackend()
+    return b.vxm_dense(np.asarray(x), b.matrix(a), semiring=semiring)
+
+
 class TestVxm:
     def test_matches_numpy(self):
         a = erdos_renyi(40, 4, seed=3)
         x = np.arange(40, dtype=float)
         y = vxm_dense(x, a)
-        assert np.allclose(y.values, x @ a.to_dense())
+        assert np.allclose(y, x @ a.to_dense())
 
     def test_vxm_equals_spmv_of_transpose(self):
         a = erdos_renyi(30, 4, seed=4)
         x = np.random.default_rng(0).random(30)
         assert np.allclose(
-            vxm_dense(x, a).values, spmv(a.transposed(), x).values
+            vxm_dense(x, a), spmv(a.transposed(), x).values
         )
 
     def test_dimension_mismatch(self):
@@ -67,7 +78,7 @@ class TestVxm:
         a = CSRMatrix.from_dense(d)
         x = np.array([0.0, np.inf])
         y = vxm_dense(x, a, semiring=MIN_PLUS)
-        assert y.values[1] == 2.0
+        assert y[1] == 2.0
 
 
 class TestSpMVDist:

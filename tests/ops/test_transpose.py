@@ -6,7 +6,7 @@ import pytest
 from repro.distributed import DistSparseMatrix
 from repro.generators import erdos_renyi
 from repro.ops import transpose, transpose_dist
-from repro.runtime import LocaleGrid, Machine
+from repro.runtime import CostLedger, LocaleGrid, Machine
 
 
 class TestTranspose:
@@ -25,12 +25,17 @@ class TestTransposeDist:
         assert np.allclose(td.gather().to_dense(), a.to_dense().T)
         assert b.total > 0
 
-    def test_requires_square_grid(self):
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 3), (3, 1)])
+    def test_non_square_grid_gathers(self, shape):
         a = erdos_renyi(20, 3, seed=3)
-        grid = LocaleGrid(1, 2)
+        grid = LocaleGrid(*shape)
         ad = DistSparseMatrix.from_global(a, grid)
-        with pytest.raises(ValueError, match="square"):
-            transpose_dist(ad, Machine(grid=grid))
+        m = Machine(grid=grid, ledger=CostLedger())
+        td, b = transpose_dist(ad, m)
+        td.check()
+        assert np.array_equal(td.gather().to_dense(), a.to_dense().T)
+        assert b["Gather"] > 0
+        assert [label for label, _ in m.ledger.entries] == ["transpose_dist[gathered]"]
 
     def test_blocks_stay_consistent(self):
         a = erdos_renyi(33, 3, seed=4)  # uneven block sizes

@@ -128,20 +128,20 @@ class TestCacheInvalidation:
         b = shm_backend()
         s = GraphStream(b, graph(), registry=MetricsRegistry())
         t0 = b.transpose(s.handle)
-        assert b.transpose(s.handle) is t0  # warm hit
+        assert b.transpose(s.handle).data is t0.data  # warm hit
         s.apply(insert_batch(16, [(3, 14)], w=5.0))
         t1 = b.transpose(s.handle)
-        assert t1 is not t0
+        assert t1.data is not t0.data
         assert b.to_csr(t1).to_dense()[14, 3] == 5.0
 
     def test_dist_transpose_cache_refreshes_after_apply(self):
         b = dist_backend()
         s = GraphStream(b, graph(), registry=MetricsRegistry())
         t0 = b.transpose(s.handle)
-        assert b.transpose(s.handle) is t0
+        assert b.transpose(s.handle).data is t0.data
         s.apply(insert_batch(16, [(3, 14)], w=5.0))
         t1 = b.transpose(s.handle)
-        assert t1 is not t0
+        assert t1.data is not t0.data
         assert b.to_csr(t1).to_dense()[14, 3] == 5.0
 
     @pytest.mark.parametrize("make", [shm_backend, dist_backend], ids=["shm", "dist"])

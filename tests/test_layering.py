@@ -20,6 +20,10 @@ the execution frontend, the streaming engine, the observability layer
 — what its result cache keys on), and the pure math of
 :mod:`repro.algebra` / :mod:`repro.sparse`.  Anything else (kernels,
 the machine model, the distributed storage) is a layering break.
+
+Derived state keyed on the mutation epoch lives in exactly two caches:
+the dispatcher's transpose cache and the service's result cache.  A lint
+fails on any other module that reads ``epoch_of``.
 """
 
 from __future__ import annotations
@@ -261,3 +265,60 @@ def test_service_lint_allows_whitelisted_spellings():
     ):
         node = ast.parse(src).body[0]
         assert _service_violations_in(node, ("repro", "service", "x")) == [], src
+
+
+# ---------------------------------------------------------------------------
+# derived-state caches: one reader of the mutation epoch per cache
+# ---------------------------------------------------------------------------
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: the modules that may read ``epoch_of``, each for the one cache it keeps
+EPOCH_READERS = {
+    "ops/dispatch.py": "the transpose cache: Aᵀ is rebuilt when either orientation mutates",
+    "service/cache.py": "the result cache: a query result is keyed on its graph's epoch",
+}
+
+#: the primitive's own module defines ``epoch_of`` (``bump_epoch`` reads it)
+EPOCH_HOME = "runtime/epoch.py"
+
+
+def _epoch_reads(source: str) -> list[int]:
+    """Line numbers where ``source`` reads ``epoch_of`` (a bare or
+    imported-as name, or a module attribute); importing or re-exporting it
+    is not a read."""
+    tree = ast.parse(source)
+    names = {"epoch_of"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "epoch_of" and alias.asname
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr == "epoch_of")
+    ]
+
+
+def test_epoch_of_read_only_by_the_two_caches():
+    """A second derived-state cache keyed on the mutation epoch must not
+    grow back beside the dispatcher's transpose cache."""
+    readers = set()
+    for path in sorted(SRC_DIR.rglob("*.py")):
+        rel = path.relative_to(SRC_DIR).as_posix()
+        if rel != EPOCH_HOME and _epoch_reads(path.read_text()):
+            readers.add(rel)
+    assert readers == set(EPOCH_READERS), (
+        f"epoch_of is read in {sorted(readers)}; only {sorted(EPOCH_READERS)} "
+        "keep derived-state caches"
+    )
+
+
+def test_epoch_lint_catches_reads_not_imports():
+    assert _epoch_reads("from ..runtime.epoch import epoch_of\n") == []
+    assert _epoch_reads("from ..runtime.epoch import epoch_of\nk = epoch_of(a)\n") == [2]
+    assert _epoch_reads("from ..runtime import epoch\nk = epoch.epoch_of(a)\n") == [2]
+    assert _epoch_reads("from ..runtime.epoch import epoch_of as ep\nk = ep(a)\n") == [2]
