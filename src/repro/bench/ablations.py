@@ -356,13 +356,9 @@ def spgemm_graphs() -> dict[str, CSRMatrix]:
 
 def spgemm_variants(q: int) -> dict[str, dict]:
     """Fixed-schedule dispatcher kwargs per candidate label on a q×q grid."""
-    out = {
-        "2d[bulk]": {"variant": "2d", "comm_mode": "bulk"},
-        "2d[agg]": {"variant": "2d", "comm_mode": "agg"},
-    }
+    out = {"2d[bulk]": {"variant": "2d"}}
     for c in replication_factors(q):
-        out[f"3d[c={c}][bulk]"] = {"variant": "3d", "layers": c, "comm_mode": "bulk"}
-        out[f"3d[c={c}][agg]"] = {"variant": "3d", "layers": c, "comm_mode": "agg"}
+        out[f"3d[c={c}][bulk]"] = {"variant": "3d", "layers": c}
     out["gathered"] = {"variant": "gathered"}
     return out
 

@@ -337,7 +337,6 @@ class DistMatrix:
         accum=None,
         out: "DistMatrix | None" = None,
         desc=None,
-        comm_mode: str = "auto",
         mask_mode: str = "fused",
         variant: str = "auto",
         layers: int | None = None,
@@ -345,14 +344,14 @@ class DistMatrix:
     ) -> "DistMatrix":
         """Distributed SpGEMM ``out⟨mask⟩ ⊕= A ⊗ B`` on any grid.
 
-        Every call routes through the dispatcher's schedule × transport
-        axis (``docs/spgemm.md``): square grids pick among 2-D and
-        3-D×``c`` sparse SUMMA, non-square grids take the gathered
-        fallback — uniformly, so ``mask``/``accum``/``desc`` run the same
+        Every call routes through the dispatcher's schedule axis
+        (``docs/spgemm.md``): square grids pick among 2-D and 3-D×``c``
+        sparse SUMMA, non-square grids take the gathered fallback —
+        uniformly, so ``mask``/``accum``/``desc`` run the same
         :func:`~repro.exec.descriptor.merge_dist_matrix` output step
-        bit-for-bit on every path.  ``comm_mode`` (``"bulk"``/``"agg"``),
-        ``variant`` (``"2d"``/``"3d"``/``"gathered"``), and ``layers``
-        force axes instead of costing them; ``mask_mode="post"`` disables
+        bit-for-bit on every path.  ``variant``
+        (``"2d"``/``"3d"``/``"gathered"``) and ``layers`` force the
+        schedule instead of costing it; ``mask_mode="post"`` disables
         the fused per-stage mask prune (bit-identical, dearer).
 
         ``dispatcher`` reuses a caller-held :class:`~repro.ops.dispatch.
@@ -372,7 +371,6 @@ class DistMatrix:
             mask_mode=mask_mode,
             variant=variant,
             layers=layers,
-            comm_mode=comm_mode,
             accum=accum,
             out=None if out is None else out._data,
             desc=desc,

@@ -50,17 +50,9 @@ class DistBackend(BackendBase):
         machine: Machine,
         *,
         dispatcher: Dispatcher | None = None,
-        gather_mode: str = "auto",
-        scatter_mode: str = "auto",
-        sort: str = "auto",
-        comm_mode: str = "auto",
     ) -> None:
         super().__init__(machine)
         self.dispatcher = dispatcher or Dispatcher(machine)
-        self.gather_mode = gather_mode
-        self.scatter_mode = scatter_mode
-        self.sort = sort
-        self.comm_mode = comm_mode
 
     # -- constructors / bridges -------------------------------------------------
 
@@ -225,9 +217,9 @@ class DistBackend(BackendBase):
         """``out⟨mask, replace⟩ ⊕= v ⊗ A`` via the distributed dispatcher.
 
         ``mask`` (dense Boolean over the output space) is fused into the
-        masked distributed SpMSpV; the communication/sort axes come from
-        the backend's configured modes (``mode`` is the shared-memory
-        kernel knob and is ignored here).
+        masked distributed SpMSpV; the dispatcher prices every
+        communication/sort axis (``mode`` is the shared-memory kernel knob
+        and is ignored here).
         """
         d = desc or Descriptor()
         mat = self.transpose(a) if d.transpose_a else a
@@ -238,9 +230,6 @@ class DistBackend(BackendBase):
             accum=accum,
             out=out,
             desc=d,
-            gather_mode=self.gather_mode,
-            scatter_mode=self.scatter_mode,
-            sort=self.sort,
             dispatcher=self.dispatcher,
         )
 
@@ -282,7 +271,6 @@ class DistBackend(BackendBase):
             accum=accum,
             out=out,
             desc=Descriptor(replace=d.replace),
-            comm_mode=self.comm_mode,
             dispatcher=self.dispatcher,
         )
 

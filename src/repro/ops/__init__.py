@@ -39,9 +39,8 @@ from .reduce import (
     reduce_cols_sparse, reduce_dist_vector, reduce_matrix_scalar,
     reduce_rows_sparse, reduce_vector,
 )
-from .dispatch import PULL, PUSH_MERGE, PUSH_RADIX, PUSH_SORTBASED, Decision, Dispatcher
+from .dispatch import PULL, PUSH_MERGE, PUSH_RADIX, Decision, Dispatcher
 from .spmspv import bulk_scatter_cost, spmspv_dist, spmspv_dist_1d, spmspv_shm
-from .spmspv_merge import spmspv_shm_merge
 from .spmv import spmv, spmv_dist, vxm_pull
 from .transpose import transpose, transpose_dist
 
@@ -66,10 +65,10 @@ __all__ = [
     "ewisemult_mm", "ewiseadd_mm",
     "ewiseadd_dist_vv", "ewisemult_dist_vv", "redistribute",
     "select_vector", "select_dist_vector",
-    "spmspv_shm", "spmspv_shm_merge", "spmspv_dist", "spmspv_dist_1d",
+    "spmspv_shm", "spmspv_dist", "spmspv_dist_1d",
     "bulk_scatter_cost",
     "spmv", "vxm_pull", "spmv_dist",
-    "Dispatcher", "Decision", "PUSH_MERGE", "PUSH_RADIX", "PUSH_SORTBASED", "PULL",
+    "Dispatcher", "Decision", "PUSH_MERGE", "PUSH_RADIX", "PULL",
     "mxm", "mxm_gustavson", "flops",
     "extract_vector", "extract_matrix", "extract_row", "extract_col",
     "reduce_vector", "reduce_rows_sparse", "reduce_cols_sparse",

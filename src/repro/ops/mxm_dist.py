@@ -35,11 +35,11 @@ Three orthogonal extensions (see ``docs/spgemm.md``):
   machine: the p locales re-group as ``c`` replication layers, each a
   coarse ``q/k × q/k`` grid (``c·(q/k)² = p`` exactly), the ``q/k``
   coarse stages split contiguously across layers, and a final
-  reduce-scatter over the layers combines the partial products — billed
-  through the aggregation/overlap model.  The *value plane* stays the
-  canonical fine-stage fold (same code as 2-D), so every variant is
-  bit-identical and the dispatcher may choose freely on price alone;
-  only the communication/compute *schedule billed* changes.
+  reduce-scatter over the layers combines the partial products.  The
+  *value plane* stays the canonical fine-stage fold (same code as 2-D),
+  so every variant is bit-identical and the dispatcher may choose freely
+  on price alone; only the communication/compute *schedule billed*
+  changes.
 """
 
 from __future__ import annotations
@@ -50,14 +50,6 @@ import numpy as np
 
 from ..algebra.semiring import PLUS_TIMES, Semiring
 from ..distributed.dist_matrix import DistSparseMatrix
-from ..runtime.aggregation import (
-    AGG_DEFAULT,
-    AggregationConfig,
-    flush_cost,
-    flush_startup,
-    num_flushes,
-    overlap_exposed,
-)
 from ..runtime.clock import Breakdown
 from ..runtime.comm import bulk_ft
 from ..runtime.faults import RETRY_STEP
@@ -81,9 +73,7 @@ def replication_factors(q: int) -> list[int]:
     return [k * k for k in range(2, q + 1) if q % k == 0]
 
 
-def _validate(a, b, mask, comm_mode, mask_mode, variant, layers):
-    if comm_mode not in ("bulk", "agg"):
-        raise ValueError(f"unknown comm_mode {comm_mode!r}")
+def _validate(a, b, mask, mask_mode, variant, layers):
     if mask_mode not in ("fused", "post"):
         raise ValueError(f"unknown mask_mode {mask_mode!r}")
     if variant not in ("2d", "3d"):
@@ -120,13 +110,11 @@ def mxm_dist(
     machine: Machine,
     *,
     semiring: Semiring = PLUS_TIMES,
-    comm_mode: str = "bulk",
     mask: DistSparseMatrix | None = None,
     complement: bool = False,
     mask_mode: str = "fused",
     variant: str = "2d",
     layers: int = 1,
-    agg: AggregationConfig = AGG_DEFAULT,
 ) -> tuple[DistSparseMatrix, Breakdown]:
     """Sparse SUMMA: ``C = A ⊗ B`` on matching square 2-D distributions.
 
@@ -142,31 +130,23 @@ def mxm_dist(
     shrinks the merge/output bill (and, in 3-D, the reduce volume), never
     a surviving sum.
 
-    ``comm_mode="agg"`` receives each stage's operand blocks through the
-    aggregation layer's flush buffers and software-pipelines the stages:
-    stage ``s``'s broadcasts stream while stage ``s-1``'s local multiply
-    runs, so only the exposed share — ``max(comm - compute, 0)`` plus the
-    pipeline-fill flush — extends the makespan (stage 0 has nothing to
-    hide behind).  Fault repair stays batch-granular and un-overlapped.
-
     ``variant="3d"`` with ``layers=c`` bills the communication-avoiding
     2.5D schedule (replicate → ``⌈(q/k)/c⌉`` coarse stage slots → layer
     reduce-scatter) instead of the ``q``-stage 2-D one; the returned
     matrix is identical by construction (canonical value plane).
     """
-    _validate(a, b, mask, comm_mode, mask_mode, variant, layers)
+    _validate(a, b, mask, mask_mode, variant, layers)
     if machine.faults is not None:
         machine.faults.check_grid(a.grid, "mxm_dist")
     if variant == "3d":
         return _mxm_dist_3d(
             a, b, machine,
-            semiring=semiring, comm_mode=comm_mode, mask=mask,
-            complement=complement, mask_mode=mask_mode, layers=layers, agg=agg,
+            semiring=semiring, mask=mask,
+            complement=complement, mask_mode=mask_mode, layers=layers,
         )
     return _mxm_dist_2d(
         a, b, machine,
-        semiring=semiring, comm_mode=comm_mode, mask=mask,
-        complement=complement, mask_mode=mask_mode, agg=agg,
+        semiring=semiring, mask=mask, complement=complement, mask_mode=mask_mode,
     )
 
 
@@ -186,6 +166,15 @@ def _stage_products(a, b, s, grid, semiring, mask, complement, fused):
         )
         for loc in grid
     ]
+
+
+def _recv(machine, nnz, site, src, dst) -> tuple[float, float]:
+    """One broadcast receive as a bulk transfer, ``(cost, retry)``; under
+    fault injection it is a retriable transfer."""
+    return bulk_ft(
+        machine.config, nnz * _ITEMSIZE, faults=machine.faults, site=site,
+        src=src, dst=dst, local=machine.oversubscribed,
+    )
 
 
 def _post_filter(blocks, mask, complement, machine):
@@ -211,9 +200,7 @@ def _post_filter(blocks, mask, complement, machine):
     return Breakdown.parallel(filt)
 
 
-def _mxm_dist_2d(
-    a, b, machine, *, semiring, comm_mode, mask, complement, mask_mode, agg
-):
+def _mxm_dist_2d(a, b, machine, *, semiring, mask, complement, mask_mode):
     """The 2-D sparse SUMMA: ``q`` stages of row/column broadcasts."""
     grid = a.grid
     q = grid.rows
@@ -226,13 +213,9 @@ def _mxm_dist_2d(
     spawn = coforall_spawn(cfg, machine.num_locales, machine.locales_per_node)
     total = Breakdown({"broadcast": spawn})
     acc: list[CSRMatrix | None] = [None] * grid.size
-    # each locale's previous-stage compute time: what stage s's aggregated
-    # broadcasts can hide behind (zeros at stage 0 — the pipeline fill)
-    prev_compute = [0.0] * grid.size
     for s in range(q):
         stage_cast: list[Breakdown] = []
         stage_mult: list[Breakdown] = []
-        next_compute = [0.0] * grid.size
         # the stage's local multiplies are independent pure functions of
         # (A(i,s), B(s,j)[, M(i,j)]), computed before the locale loop
         products = _stage_products(a, b, s, grid, semiring, mask, complement, fused)
@@ -242,57 +225,23 @@ def _mxm_dist_2d(
             b_blk = b.block(s, j)
 
             # broadcast costs: each block travels to q-1 peers (tree), paid
-            # by every receiving locale as one transfer per operand — bulk,
-            # or flush-batched through the aggregation buffers; under fault
-            # injection each receive is a retriable (batched) transfer
-            def _recv(nnz: int, site: str, src: int) -> tuple[float, float]:
-                if comm_mode == "agg":
-                    if nnz <= 0:
-                        return 0.0, 0.0
-                    cost = flush_cost(
-                        cfg, nnz, agg=agg, local=machine.oversubscribed
-                    )
-                    if faults is not None:
-                        batches = num_flushes(nnz, agg.flush_elems)
-                        return faults.batched_transfer(
-                            site, batches, cost / batches, src=src, dst=loc.id
-                        )
-                    return cost, 0.0
-                return bulk_ft(
-                    cfg,
-                    nnz * _ITEMSIZE,
-                    faults=faults,
-                    site=site,
-                    src=src,
-                    dst=loc.id,
-                    local=machine.oversubscribed,
-                )
-
+            # by every receiving locale as one bulk transfer per operand
             cast = 0.0
             retry = 0.0
-            recv_elems = 0
             if s != j:  # A(i, s) arrives from another column
                 base, extra = _recv(
-                    a_blk.nnz, f"mxm_dist.bcastA[{s}->{loc.id}]", grid[(i, s)].id
+                    machine, a_blk.nnz, f"mxm_dist.bcastA[{s}->{loc.id}]",
+                    grid[(i, s)].id, loc.id,
                 )
                 cast += base
                 retry += extra
-                recv_elems += a_blk.nnz
             if s != i:  # B(s, j) arrives from another row
                 base, extra = _recv(
-                    b_blk.nnz, f"mxm_dist.bcastB[{s}->{loc.id}]", grid[(s, j)].id
+                    machine, b_blk.nnz, f"mxm_dist.bcastB[{s}->{loc.id}]",
+                    grid[(s, j)].id, loc.id,
                 )
                 cast += base
                 retry += extra
-                recv_elems += b_blk.nnz
-            if comm_mode == "agg" and agg.overlap and cast > 0.0:
-                cast = overlap_exposed(
-                    cast,
-                    prev_compute[loc.id],
-                    flush_startup(
-                        cfg, recv_elems, agg=agg, local=machine.oversubscribed
-                    ),
-                )
             cast_b = Breakdown({"broadcast": cast})
             if faults is not None:
                 cast_b = cast_b + Breakdown({RETRY_STEP: retry})
@@ -309,11 +258,9 @@ def _mxm_dist_2d(
                 parallel_time(cfg, c_blk.nnz * cfg.element_cost * pen, threads)
                 * slow
             )
-            next_compute[loc.id] = mult_t + merge_t
             stage_mult.append(Breakdown({"multiply": mult_t, "merge": merge_t}))
             k = loc.id
             acc[k] = c_blk if acc[k] is None else ewiseadd_mm(acc[k], c_blk, semiring.add)
-        prev_compute = next_compute
         total = total + Breakdown.parallel(stage_cast) + Breakdown.parallel(stage_mult)
 
     # every cell received a product in stage 0, so acc is fully populated
@@ -325,9 +272,7 @@ def _mxm_dist_2d(
     return c, machine.record("mxm_dist", total)
 
 
-def _mxm_dist_3d(
-    a, b, machine, *, semiring, comm_mode, mask, complement, mask_mode, layers, agg
-):
+def _mxm_dist_3d(a, b, machine, *, semiring, mask, complement, mask_mode, layers):
     """The 2.5D/3D schedule on a fixed machine: ``c`` layers of coarse
     ``(q/k)×(q/k)`` grids (``c = k²``), coarse stages split across layers,
     final reduce-scatter over layers.
@@ -409,30 +354,6 @@ def _mxm_dist_3d(
         l = (loc.row % k) * k + (loc.col % k)
         return l, loc.row // k, loc.col // k
 
-    def _recv(nnz, site, src_id, dst_id, prev):
-        """One coarse broadcast receive: bulk, or flush-batched and
-        overlapped against the previous slot's compute (as in 2-D)."""
-        if comm_mode == "agg":
-            if nnz <= 0:
-                return 0.0, 0.0
-            cost = flush_cost(cfg, nnz, agg=agg, local=local)
-            if faults is not None:
-                batches = num_flushes(nnz, agg.flush_elems)
-                cost, extra = faults.batched_transfer(
-                    site, batches, cost / batches, src=src_id, dst=dst_id
-                )
-            else:
-                extra = 0.0
-            if agg.overlap and cost > 0.0:
-                cost = overlap_exposed(
-                    cost, prev, flush_startup(cfg, nnz, agg=agg, local=local)
-                )
-            return cost, extra
-        return bulk_ft(
-            cfg, nnz * _ITEMSIZE, faults=faults, site=site,
-            src=src_id, dst=dst_id, local=local,
-        )
-
     spawn = coforall_spawn(cfg, machine.num_locales, machine.locales_per_node)
     total = Breakdown({"broadcast": spawn})
 
@@ -456,12 +377,10 @@ def _mxm_dist_3d(
     total = total + Breakdown.parallel(repl)
 
     # coarse stage slots: layer l runs stages [l·slots, min((l+1)·slots, q2))
-    prev_compute = [0.0] * grid.size
     partial = np.zeros(grid.size)  # per-locale layer-partial size (elems)
     for t in range(slots):
         slot_cast: list[Breakdown] = []
         slot_mult: list[Breakdown] = []
-        next_compute = [0.0] * grid.size
         for loc in grid:
             l, I, J = layer_cell(loc)
             s2 = l * slots + t
@@ -471,17 +390,15 @@ def _mxm_dist_3d(
             retry = 0.0
             if s2 != J:
                 base, extra = _recv(
-                    coarse_a_nnz(I, s2), f"mxm_dist3d.bcastA[{s2}->{loc.id}]",
+                    machine, coarse_a_nnz(I, s2), f"mxm_dist3d.bcastA[{s2}->{loc.id}]",
                     grid[(I * k + loc.row % k, s2 * k + loc.col % k)].id, loc.id,
-                    prev_compute[loc.id],
                 )
                 cast += base
                 retry += extra
             if s2 != I:
                 base, extra = _recv(
-                    coarse_b_nnz(s2, J), f"mxm_dist3d.bcastB[{s2}->{loc.id}]",
+                    machine, coarse_b_nnz(s2, J), f"mxm_dist3d.bcastB[{s2}->{loc.id}]",
                     grid[(s2 * k + loc.row % k, J * k + loc.col % k)].id, loc.id,
-                    prev_compute[loc.id],
                 )
                 cast += base
                 retry += extra
@@ -495,10 +412,8 @@ def _mxm_dist_3d(
             )
             mult_t = parallel_time(cfg, fl * cfg.element_cost * pen, threads) * slow
             merge_t = parallel_time(cfg, pr * cfg.element_cost * pen, threads) * slow
-            next_compute[loc.id] = mult_t + merge_t
             partial[loc.id] += pr
             slot_mult.append(Breakdown({"multiply": mult_t, "merge": merge_t}))
-        prev_compute = next_compute
         total = total + Breakdown.parallel(slot_cast) + Breakdown.parallel(slot_mult)
 
     # reduce-scatter over the c layers of each coarse cell: every locale
@@ -513,31 +428,11 @@ def _mxm_dist_3d(
             for dj in range(k)
         )
         elems = int(round(cell_total * (c - 1) / c))
-        if comm_mode == "agg":
-            if elems > 0:
-                comm = flush_cost(cfg, elems, agg=agg, local=local)
-                if faults is not None:
-                    batches = num_flushes(elems, agg.flush_elems)
-                    comm, retry = faults.batched_transfer(
-                        f"mxm_dist3d.reduce[{loc.id}]", batches, comm / batches,
-                        src=loc.id, dst=loc.id,
-                    )
-                else:
-                    retry = 0.0
-                if agg.overlap:
-                    comm = overlap_exposed(
-                        comm,
-                        prev_compute[loc.id],
-                        flush_startup(cfg, elems, agg=agg, local=local),
-                    )
-            else:
-                comm, retry = 0.0, 0.0
-        else:
-            comm, retry = bulk_ft(
-                cfg, elems * _ITEMSIZE, faults=faults,
-                site=f"mxm_dist3d.reduce[{loc.id}]", src=loc.id, dst=loc.id,
-                local=local,
-            )
+        comm, retry = bulk_ft(
+            cfg, elems * _ITEMSIZE, faults=faults,
+            site=f"mxm_dist3d.reduce[{loc.id}]", src=loc.id, dst=loc.id,
+            local=local,
+        )
         fold = parallel_time(cfg, elems * cfg.element_cost * pen, threads)
         bd = Breakdown({"reduce": comm, "merge": fold})
         if faults is not None:

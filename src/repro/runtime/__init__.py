@@ -12,7 +12,6 @@ from .aggregation import (
     group_by_owner,
     merge_superstep_batches,
     overlap_exposed,
-    split_exposed,
 )
 from .clock import Breakdown, CostLedger
 from .config import EDISON, LAPTOP, MachineConfig
@@ -49,7 +48,6 @@ __all__ = [
     "AGG_DEFAULT", "AggregationConfig", "ExchangeCost", "exchange",
     "flush_cost", "flush_startup", "gather_agg", "gather_agg_ft",
     "group_by_owner", "merge_superstep_batches", "overlap_exposed",
-    "split_exposed",
     "MetricsRegistry", "default_registry", "chrome_trace", "trace_summary",
     "write_chrome_trace", "write_trace_csv", "write_trace_summary",
 ]

@@ -64,7 +64,6 @@ __all__ = [
     "exchange",
     "two_hop_estimate",
     "overlap_exposed",
-    "split_exposed",
 ]
 
 
@@ -490,20 +489,3 @@ def overlap_exposed(comm: float, compute: float, startup: float) -> float:
     if comm <= 0.0:
         return 0.0
     return min(comm, max(comm - compute, 0.0) + startup)
-
-
-def split_exposed(
-    parts: dict[str, float], compute: float, startup: float
-) -> dict[str, float]:
-    """Overlap several communication components against one compute block.
-
-    Returns the parts scaled so their sum equals
-    :func:`overlap_exposed` of their total — keeping per-component
-    breakdown semantics (components still sum to the step's wall time)
-    while the pipeline hides the hideable share.
-    """
-    comm = sum(parts.values())
-    if comm <= 0.0:
-        return dict(parts)
-    scale = overlap_exposed(comm, compute, startup) / comm
-    return {name: value * scale for name, value in parts.items()}

@@ -27,9 +27,8 @@ Coverage:
   construction, and ``DCSRMatrix.extract_rows`` vs a per-row walk;
 * ``group_by_owner`` (both the sorting and the ``assume_sorted`` forms)
   vs a per-owner boolean-mask loop;
-* the local kernel ``spmspv_shm`` (both sorts, masks, complements) and the
-  sort-based ``spmspv_shm_merge`` vs a SPA merge, and ``mxm_gustavson``
-  vs the per-row SPA loop;
+* the local kernel ``spmspv_shm`` (both sorts, masks, complements) vs a
+  SPA merge, and ``mxm_gustavson`` vs the per-row SPA loop;
 * the 2-D partitioner (``DistSparseMatrix.from_global``) vs a global
   sort-by-cell partition, and the distributed kernel ``spmspv_dist`` vs
   ``spmspv_shm`` on the global matrix, on square *and* non-square grids —
@@ -60,7 +59,6 @@ from repro.distributed.block import Block2D
 from repro.exec import ShmBackend
 from repro.ops.mxm import mxm_gustavson
 from repro.ops.spmspv import spmspv_dist, spmspv_shm
-from repro.ops.spmspv_merge import spmspv_shm_merge
 from repro.runtime import (
     RETRY_STEP,
     CostLedger,
@@ -537,7 +535,7 @@ class TestGroupByOwner:
 
 
 # ---------------------------------------------------------------------------
-# local kernels: SPA SpMSpV, sort-based SpMSpV, Gustavson SpGEMM
+# local kernels: SPA SpMSpV, Gustavson SpGEMM
 # ---------------------------------------------------------------------------
 
 SEMIRINGS = [PLUS_TIMES, MIN_PLUS, LOR_LAND]
@@ -563,13 +561,6 @@ class TestLocalSpmspv:
             a, x, semiring, sort, mask=mask, complement=complement
         )
         assert_same_vector(ref, y)
-
-    @given(pair=matrix_vector_pairs(), semiring=st.sampled_from(SEMIRINGS))
-    @settings(PROFILE_FAST)
-    def test_sort_based_kernel_matches_spa_merge(self, pair, semiring):
-        a, x = pair
-        y, _ = spmspv_shm_merge(a, x, shared_machine(4), semiring=semiring)
-        assert_same_vector(spmspv_spa_reference(a, x, semiring), y)
 
     @pytest.mark.parametrize("sort", ["merge", "radix"])
     def test_empty_frontier(self, sort):

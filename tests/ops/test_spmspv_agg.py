@@ -353,9 +353,7 @@ class TestDispatchAgg:
         ad = DistSparseMatrix.from_global(a, grid)
         bd = DistSparseMatrix.from_global(b, grid)
 
-        ref, _ = mxm_dist(
-            ad, bd, Machine(grid=grid, threads_per_locale=2), comm_mode="bulk"
-        )
+        ref, _ = mxm_dist(ad, bd, Machine(grid=grid, threads_per_locale=2))
         m = Machine(grid=grid, threads_per_locale=2, ledger=CostLedger())
         disp = Dispatcher(m)
         c, btot = disp.mxm_dist(ad, bd)
@@ -368,35 +366,6 @@ class TestDispatchAgg:
         got, want = c.gather(), ref.gather()
         assert np.array_equal(got.colidx, want.colidx)
         assert np.array_equal(got.values, want.values)
-
-    def test_mxm_agg_overlap_hides_broadcasts(self):
-        """Software-pipelining the flush streams behind the previous
-        stage's multiply must strictly reduce the aggregated SUMMA bill on
-        a compute-heavy workload."""
-        from repro.runtime.aggregation import AGG_DEFAULT
-
-        n = 600
-        a = erdos_renyi(n, 12, seed=82)
-        b = erdos_renyi(n, 12, seed=83)
-        grid = LocaleGrid(2, 2)
-        ad = DistSparseMatrix.from_global(a, grid)
-        bd = DistSparseMatrix.from_global(b, grid)
-
-        def total(agg):
-            _, bb = mxm_dist(
-                ad, bd, Machine(grid=grid, threads_per_locale=2),
-                comm_mode="agg", agg=agg,
-            )
-            return bb.total
-
-        assert total(AGG_DEFAULT) < total(AGG_DEFAULT.with_(overlap=False))
-
-    def test_mxm_unknown_mode_rejected(self):
-        grid = LocaleGrid(2, 2)
-        a = erdos_renyi(40, 2, seed=84)
-        ad = DistSparseMatrix.from_global(a, grid)
-        with pytest.raises(ValueError, match="comm_mode"):
-            mxm_dist(ad, ad, Machine(grid=grid), comm_mode="?")
 
 
 class TestApplyAssignAgg:

@@ -32,7 +32,6 @@ from repro.runtime.aggregation import (
     group_by_owner,
     num_flushes,
     overlap_exposed,
-    split_exposed,
     two_hop_estimate,
 )
 from repro.runtime.comm import fine_grained, gather_parts_fine
@@ -205,13 +204,6 @@ class TestOverlap:
         # comm dominates: exposed = comm - compute + startup
         assert overlap_exposed(5.0, 1.0, 0.25) == pytest.approx(4.25)
         assert overlap_exposed(0.0, 1.0, 0.25) == 0.0
-
-    def test_split_exposed_preserves_total(self):
-        parts = {"a": 2.0, "b": 6.0}
-        out = split_exposed(parts, 5.0, 0.5)
-        assert sum(out.values()) == pytest.approx(overlap_exposed(8.0, 5.0, 0.5))
-        # component proportions survive the scaling
-        assert out["b"] / out["a"] == pytest.approx(3.0)
 
 
 class TestBatchedFaults:

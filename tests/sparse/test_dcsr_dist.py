@@ -158,18 +158,14 @@ class TestSummaDifferential:
     """The tentpole property: block format never changes results or bills."""
 
     @settings(PROFILE, deadline=None)
-    @given(
-        hypersparse_csr(),
-        st.sampled_from([4, 16]),
-        st.sampled_from(["bulk", "agg"]),
-    )
-    def test_dcsr_blocks_bit_identical_results_and_ledgers(self, a, p, comm):
+    @given(hypersparse_csr(), st.sampled_from([4, 16]))
+    def test_dcsr_blocks_bit_identical_results_and_ledgers(self, a, p):
         grid = LocaleGrid.for_count(p)
 
         def run(fmt, **kw):
             m = Machine(grid=grid, threads_per_locale=2, ledger=CostLedger())
             ad = DistSparseMatrix.from_global(a, grid, block_format=fmt)
-            c, bd = mxm_dist(ad, ad, m, comm_mode=comm, **kw)
+            c, bd = mxm_dist(ad, ad, m, **kw)
             return c.gather(), dict(bd), m.ledger.total
 
         for kw in _summa_variants(grid.rows):
@@ -215,9 +211,8 @@ class TestSummaDifferential:
         ref, _ = mxm_dist(ad, ad, m)
         want = ref.gather()
         for kw in _summa_variants(grid.rows):
-            for comm in ("bulk", "agg"):
-                c, _ = mxm_dist(ad, ad, m, comm_mode=comm, **kw)
-                assert_bit_identical(c.gather(), want)
+            c, _ = mxm_dist(ad, ad, m, **kw)
+            assert_bit_identical(c.gather(), want)
 
 
 class TestMaskFusion:
@@ -269,10 +264,9 @@ class TestDispatcherAxis:
         assert dec.op == "mxm_dist"
         assert dec.chosen.startswith(("2d[", "3d["))
         assert "gathered" in dec.estimates
-        assert {"2d[bulk]", "2d[agg]"} <= set(dec.estimates)
+        assert "2d[bulk]" in dec.estimates
         for c in replication_factors(grid.rows):
             assert f"3d[c={c}][bulk]" in dec.estimates
-            assert f"3d[c={c}][agg]" in dec.estimates
 
     def test_non_square_grid_dispatches_gathered(self):
         a = _ba_graph()
@@ -292,9 +286,8 @@ class TestDispatcherAxis:
         d = Dispatcher(Machine(grid=grid, threads_per_locale=2))
         ad = DistSparseMatrix.from_global(a, grid)
         for kw, want in [
-            ({"comm_mode": "bulk"}, "2d[bulk]"),
-            ({"comm_mode": "agg"}, "2d[agg]"),
-            ({"variant": "3d", "layers": 4, "comm_mode": "bulk"}, "3d[c=4][bulk]"),
+            ({"variant": "2d"}, "2d[bulk]"),
+            ({"variant": "3d", "layers": 4}, "3d[c=4][bulk]"),
             ({"variant": "gathered"}, "gathered"),
         ]:
             d.mxm_dist(ad, ad, **kw)
@@ -302,8 +295,6 @@ class TestDispatcherAxis:
             assert d.decisions[-1].forced
         with pytest.raises(ValueError, match="layers"):
             d.mxm_dist(ad, ad, variant="3d", layers=9)
-        with pytest.raises(ValueError, match="comm_mode"):
-            d.mxm_dist(ad, ad, comm_mode="?")
 
     def test_auto_within_tolerance_of_best_fixed(self):
         """The acceptance bound: auto's bill ≤ 1.1× the best fixed
@@ -317,11 +308,7 @@ class TestDispatcherAxis:
             Dispatcher(m).mxm_dist(ad, ad, **kw)
             return m.ledger.total
 
-        fixed = [
-            bill(comm_mode=comm, **kw)
-            for kw in _summa_variants(grid.rows)
-            for comm in ("bulk", "agg")
-        ]
+        fixed = [bill(**kw) for kw in _summa_variants(grid.rows)]
         assert bill() <= 1.1 * min(fixed)
 
 

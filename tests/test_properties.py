@@ -3,9 +3,8 @@
 The dispatch engine's core contract is that *kernel choice can only change
 simulated cost, never values*.  This suite pins that with Hypothesis:
 
-* every ``y ← x A`` variant — push with merge/radix sort, the sort-based
-  SPA-free kernel, the pull direction, and the cost-model dispatcher in
-  every mode — agrees **bit-for-bit** with every other, over all
+* every ``y ← x A`` variant — push with merge/radix sort, the pull
+  direction, and the cost-model dispatcher in every mode — agrees **bit-for-bit** with every other, over all
   representative semirings (push and pull reduce products in the same
   ascending-input-index order, so even float results are identical);
 * the arithmetic (PLUS_TIMES) case additionally matches the scipy.sparse
@@ -27,10 +26,9 @@ from hypothesis import given, strategies as st
 
 from repro.algebra.semiring import PLUS_TIMES
 from repro.distributed import DistSparseMatrix, DistSparseVector
-from repro.ops.dispatch import PULL, PUSH_MERGE, PUSH_RADIX, PUSH_SORTBASED, Dispatcher
+from repro.ops.dispatch import PULL, PUSH_MERGE, PUSH_RADIX, Dispatcher
 from repro.ops.ewise import ewisemult_sparse_dense
 from repro.ops.spmspv import spmspv_shm
-from repro.ops.spmspv_merge import spmspv_shm_merge
 from repro.ops.spmv import vxm_pull
 from repro.runtime import CostLedger, LocaleGrid, Machine, shared_machine
 from repro.sparse.sort import merge_sort, radix_sort
@@ -60,7 +58,7 @@ def _assert_identical(got: SparseVector, want: SparseVector, label: str) -> None
 def _all_variants(a, x, *, semiring, mask=None, complement=False):
     """(label, result) for every shared-memory kernel variant."""
     m = shared_machine(2)
-    out = [
+    return [
         (
             PUSH_MERGE,
             spmspv_shm(
@@ -89,11 +87,6 @@ def _all_variants(a, x, *, semiring, mask=None, complement=False):
             )[0],
         ),
     ]
-    if mask is None:  # the sort-based kernel has no fused-mask path
-        out.insert(
-            2, (PUSH_SORTBASED, spmspv_shm_merge(a, x, m, semiring=semiring)[0])
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +266,7 @@ def test_spa_scatter_matches_dense_accumulation(cap, data, monoid):
 @PROFILE
 @given(st.data())
 def test_ewisemult_methods_agree(data):
-    """atomic, prefix, and the dispatcher produce the same filter result."""
+    """atomic and prefix produce the same filter result."""
     from repro.algebra.functional import TIMES
 
     x = data.draw(sparse_vectors())
@@ -284,9 +277,7 @@ def test_ewisemult_methods_agree(data):
     m = shared_machine(2)
     za, _ = ewisemult_sparse_dense(x, y, TIMES, m, method="atomic")
     zp, _ = ewisemult_sparse_dense(x, y, TIMES, m, method="prefix")
-    zd, _ = Dispatcher(m).ewisemult(x, y, TIMES)
     _assert_identical(zp, za, "prefix vs atomic")
-    _assert_identical(zd, za, "dispatch vs atomic")
     # oracle: entries of x where y is truthy and the product is non-zero
     keep = np.array(y_bits, dtype=bool)[x.indices] & (x.values != 0)
     _assert_identical(
